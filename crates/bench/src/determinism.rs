@@ -12,6 +12,10 @@
 //! orders. Identical fingerprints everywhere = the trajectory depends only
 //! on the construction seeds, never on the schedule.
 //!
+//! Besides the registry, the sweep covers [`DpFedCross`]: the registry
+//! lives in `fedcross` and cannot depend on the privacy crate, so
+//! [`sweep_all`] adds the DP-FedCross server after the registered specs.
+//!
 //! Used by the `determinism_check` binary and the `tests/tests/lint_plane.rs`
 //! suite.
 
@@ -19,10 +23,12 @@ use fedcross::{build_algorithm, AlgorithmSpec};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::Heterogeneity;
 use fedcross_flsim::{
-    DeviceModel, FaultPlan, LocalTrainConfig, RoundPolicy, Simulation, SimulationConfig,
+    DeviceModel, FaultPlan, FederatedAlgorithm, LocalTrainConfig, RoundPolicy, Simulation,
+    SimulationConfig,
 };
 use fedcross_nn::models::{cnn, CnnConfig};
 use fedcross_nn::Model;
+use fedcross_privacy::algorithms::{DpFedCross, DpFedCrossConfig};
 use fedcross_tensor::SeededRng;
 
 /// Federation size of the sanitizer task.
@@ -139,11 +145,39 @@ fn is_buffered(spec: AlgorithmSpec) -> bool {
 /// the stateful path most exposed to arrival order — actually carries
 /// entries.
 pub fn spec_fingerprint(spec: AlgorithmSpec, upload_shuffle: Option<u64>) -> u64 {
+    trajectory_fingerprint(
+        |init| build_algorithm(spec, init, SANITIZER_CLIENTS, SANITIZER_K),
+        is_buffered(spec),
+        upload_shuffle,
+    )
+}
+
+/// [`spec_fingerprint`] for [`DpFedCross`] with its default configuration
+/// (central noise) and noise seed 23.
+pub fn dp_fedcross_fingerprint(upload_shuffle: Option<u64>) -> u64 {
+    trajectory_fingerprint(
+        |init| {
+            Box::new(DpFedCross::new(
+                DpFedCrossConfig::default(),
+                init,
+                SANITIZER_K,
+                23,
+            ))
+        },
+        false,
+        upload_shuffle,
+    )
+}
+
+fn trajectory_fingerprint(
+    build: impl FnOnce(Vec<f32>) -> Box<dyn FederatedAlgorithm>,
+    buffered: bool,
+    upload_shuffle: Option<u64>,
+) -> u64 {
     let (data, template) = sanitizer_setup();
-    let init = template.params_flat();
-    let mut algorithm = build_algorithm(spec, init, SANITIZER_CLIENTS, SANITIZER_K);
+    let mut algorithm = build(template.params_flat());
     let mut sim = Simulation::new(sanitizer_config(), &data, template);
-    if is_buffered(spec) {
+    if buffered {
         sim = sim
             .with_round_policy(RoundPolicy::Buffered {
                 goal_k: 2,
@@ -197,26 +231,46 @@ impl SweepOutcome {
     }
 }
 
-/// Sweeps one spec across rayon thread counts and upload-shuffle seeds,
-/// returning all fingerprints. The global rayon override is restored to
-/// "unset" afterwards.
-pub fn sweep_spec(spec: AlgorithmSpec, threads: &[usize], shuffle_seeds: &[u64]) -> SweepOutcome {
+/// Sweeps every registered spec, then [`DpFedCross`], in that order.
+pub fn sweep_all(threads: &[usize], shuffle_seeds: &[u64]) -> Vec<SweepOutcome> {
+    let mut outcomes: Vec<SweepOutcome> = AlgorithmSpec::registered()
+        .into_iter()
+        .map(|spec| {
+            let fingerprint = |shuffle| spec_fingerprint(spec, shuffle);
+            sweep(spec.label(), fingerprint, threads, shuffle_seeds)
+        })
+        .collect();
+    outcomes.push(sweep(
+        "DP-FedCross",
+        dp_fedcross_fingerprint,
+        threads,
+        shuffle_seeds,
+    ));
+    outcomes
+}
+
+/// Sweeps one algorithm's `fingerprint` across rayon thread counts and
+/// upload-shuffle seeds, returning all fingerprints. The global rayon
+/// override is restored to "unset" afterwards.
+fn sweep(
+    label: &'static str,
+    fingerprint: impl Fn(Option<u64>) -> u64,
+    threads: &[usize],
+    shuffle_seeds: &[u64],
+) -> SweepOutcome {
     rayon::set_num_threads(0);
-    let canonical = spec_fingerprint(spec, None);
+    let canonical = fingerprint(None);
     let mut variants = Vec::new();
     for &t in threads {
         rayon::set_num_threads(t);
-        variants.push((format!("threads={t}"), spec_fingerprint(spec, None)));
+        variants.push((format!("threads={t}"), fingerprint(None)));
     }
     rayon::set_num_threads(0);
     for &seed in shuffle_seeds {
-        variants.push((
-            format!("upload-shuffle={seed}"),
-            spec_fingerprint(spec, Some(seed)),
-        ));
+        variants.push((format!("upload-shuffle={seed}"), fingerprint(Some(seed))));
     }
     SweepOutcome {
-        label: spec.label(),
+        label,
         canonical,
         variants,
     }

@@ -4,8 +4,8 @@
 //! FedCross paper's evaluation (Section IV), plus Criterion micro-benchmarks
 //! of the computational kernels.
 //!
-//! Each table/figure has a dedicated binary (see DESIGN.md §6 for the full
-//! index); all of them share the experiment plumbing in this library:
+//! Each table/figure has a dedicated binary (see docs/DESIGN.md §6 for the
+//! full index); all of them share the experiment plumbing in this library:
 //!
 //! * [`TaskSpec`] / [`ModelSpec`] — the dataset × model grid of Table II,
 //! * [`ExperimentConfig`] — scale knobs (rounds, clients, participation) with
@@ -118,8 +118,8 @@ pub struct ExperimentConfig {
 
 impl Default for ExperimentConfig {
     fn default() -> Self {
-        // Reduced repro scale: the orderings of the paper stabilise well before
-        // full convergence at synthetic-data scale (see DESIGN.md §3).
+        // Reduced repro scale for CPU-only runs. It does not reproduce the
+        // paper's orderings; docs/DESIGN.md §3 records what it does show.
         Self {
             num_clients: 20,
             clients_per_round: 4,

@@ -7,7 +7,7 @@
 //! Re-implementing the exact feature-space generator requires hooks into each
 //! model's penultimate layer, which the flat-parameter [`fedcross_nn::Model`]
 //! interface deliberately does not expose; this reproduction therefore keeps
-//! FedGen's two *behavioural* ingredients (documented in DESIGN.md):
+//! FedGen's two *behavioural* ingredients (documented in docs/DESIGN.md §2):
 //!
 //! 1. an ensemble-knowledge regulariser: every client's gradients are pulled
 //!    towards the previous round's ensemble model (the distillation target

@@ -34,14 +34,16 @@
 //!   like the robust rules: a stale client must not buy weight back by
 //!   reporting a large shard.
 
-use crate::aggregation::{cross_aggregate_into, global_model, global_model_into};
+use crate::algorithm::FedCrossConfig;
+use crate::middleware::{Arrived, MiddlewareServer, Round, Staged, UploadStage};
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
 };
+use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_flsim::faults::RoundPolicy;
-use fedcross_nn::params::ParamBlock;
+use fedcross_nn::params::{difference, ParamBlock, ParamVec};
 
 /// One upload travelling through (or parked in) the buffered server plane.
 ///
@@ -422,11 +424,15 @@ impl Default for BufferedFedCrossConfig {
 /// candidate model (`middlewareᵢ + wᵢ·δᵢ`, re-anchored on the *current*
 /// middleware), and the normal similarity-driven cross-aggregation fuses the
 /// candidates. Slots with no arrival carry over, exactly like the dropout
-/// path of plain FedCross.
-pub struct BufferedFedCross {
+/// path of plain FedCross. It is the [`MiddlewareServer`] whose stage is
+/// [`BufferedStage`].
+pub type BufferedFedCross = MiddlewareServer<BufferedStage>;
+
+/// The upload stage of [`BufferedFedCross`]: the in-flight and buffer
+/// stores, and the staleness-weighted re-anchoring of buffered deltas.
+pub struct BufferedStage {
     config: BufferedFedCrossConfig,
     num_clients: usize,
-    middleware: Vec<ParamBlock>,
     inflight: Vec<BufferedUpload>,
     buffer: Vec<BufferedUpload>,
 }
@@ -445,44 +451,34 @@ impl BufferedFedCross {
         k: usize,
         num_clients: usize,
     ) -> Self {
-        assert!(k >= 2, "BufferedFedCross needs at least two middleware models");
-        assert!(
-            (0.5..1.0).contains(&config.alpha),
-            "alpha must lie in [0.5, 1.0)"
-        );
         assert!(
             config.staleness_alpha.is_finite() && config.staleness_alpha >= 0.0,
             "staleness alpha must be finite and non-negative"
         );
         assert!(num_clients >= 1, "need at least one client");
-        let shared = ParamBlock::from(init_params);
-        Self {
+        let (inflight, buffer) = (Vec::new(), Vec::new());
+        let stage = BufferedStage {
             config,
             num_clients,
-            middleware: vec![shared; k],
-            inflight: Vec::new(),
-            buffer: Vec::new(),
-        }
+            inflight,
+            buffer,
+        };
+        Self::with_stage(stage, init_params, k)
     }
 
     /// The configured hyper-parameters.
     pub fn config(&self) -> &BufferedFedCrossConfig {
-        &self.config
-    }
-
-    /// The current middleware model list.
-    pub fn middleware(&self) -> &[ParamBlock] {
-        &self.middleware
+        &self.stage.config
     }
 
     /// Uploads currently travelling to the server.
     pub fn inflight(&self) -> &[BufferedUpload] {
-        &self.inflight
+        &self.stage.inflight
     }
 
     /// Arrived uploads awaiting aggregation.
     pub fn buffer(&self) -> &[BufferedUpload] {
-        &self.buffer
+        &self.stage.buffer
     }
 
     /// The server half of a buffered round: merge, staleness-filter, and —
@@ -497,8 +493,21 @@ impl BufferedFedCross {
         max_staleness: usize,
         arrivals: Vec<BufferedUpload>,
     ) -> RoundReport {
-        let k = self.middleware.len();
-        let dim = self.middleware[0].len();
+        self.fuse_with(round, |stage, middleware| {
+            stage.absorb(round, (goal_k, max_staleness), middleware, arrivals)
+        })
+    }
+}
+
+impl BufferedStage {
+    fn absorb(
+        &mut self,
+        round: usize,
+        (goal_k, max_staleness): (usize, usize),
+        middleware: &[ParamBlock],
+        arrivals: Vec<BufferedUpload>,
+    ) -> Staged<ParamVec> {
+        let (k, dim) = (middleware.len(), middleware[0].len());
         assert!(
             arrivals.iter().all(|a| a.delta.len() == dim && a.slot < k),
             "arrival delta dimension or slot out of range"
@@ -507,7 +516,8 @@ impl BufferedFedCross {
         self.buffer
             .retain(|b| round.saturating_sub(b.train_round) <= max_staleness);
         if self.buffer.len() < goal_k.max(1) {
-            return RoundReport::default();
+            // alloc: cold — below-goal exit; `Vec::new` does not allocate
+            return Staged::from_arrived(&[], Vec::new());
         }
 
         // One entry per slot: freshest wins, client id breaks exact ties.
@@ -518,136 +528,93 @@ impl BufferedFedCross {
                 .then(b.train_round.cmp(&a.train_round))
                 .then(a.client.cmp(&b.client))
         });
-        // alloc: bounded — buffered-plane staging, buffer-bounded per flush
-        let mut consumed: Vec<BufferedUpload> = Vec::with_capacity(self.buffer.len());
-        for entry in self.buffer.drain(..) {
-            if consumed.last().map(|p| p.slot) != Some(entry.slot) {
-                consumed.push(entry);
-            }
-        }
+        let mut consumed = std::mem::take(&mut self.buffer);
+        consumed.dedup_by_key(|entry| entry.slot);
 
         // Rebuild each slot's candidate on the *current* middleware anchor.
-        let candidates: Vec<Vec<f32>> = consumed
+        let candidates = consumed
             .iter()
             .map(|entry| {
                 let w = entry.staleness_weight(round, self.config.staleness_alpha);
-                let anchor = self.middleware[entry.slot].as_slice();
-                anchor
-                    .iter()
-                    .zip(&entry.delta)
-                    .map(|(a, d)| a + w * d)
-                    // alloc: bounded — buffered-plane staging, buffer-bounded per flush
-                    .collect()
+                let anchor = middleware[entry.slot].iter();
+                // alloc: bounded — buffered-plane staging, buffer-bounded per flush
+                anchor.zip(&entry.delta).map(|(a, d)| a + w * d).collect()
             })
             // alloc: bounded — buffered-plane staging, buffer-bounded per flush
             .collect();
-
-        if candidates.len() >= 2 {
-            let partners =
-                self.config
-                    .strategy
-                    .select_all_with(round, &candidates, self.config.measure);
-            for (i, entry) in consumed.iter().enumerate() {
-                cross_aggregate_into(
-                    self.middleware[entry.slot].make_mut(),
-                    &candidates[i],
-                    &candidates[partners[i]],
-                    self.config.alpha,
-                );
-            }
-        } else {
-            // A lone arrival has no collaborator; keep its training.
-            self.middleware[consumed[0].slot]
-                .make_mut()
-                .copy_from_slice(&candidates[0]);
+        // alloc: bounded — buffered-plane staging, buffer-bounded per flush
+        let slots = consumed.iter().map(|entry| entry.slot).collect();
+        Staged {
+            report: report_from(&consumed),
+            slots,
+            candidates,
         }
-
-        report_from(&consumed)
     }
 }
 
-impl FederatedAlgorithm for BufferedFedCross {
+impl UploadStage for BufferedStage {
+    type Candidate = ParamVec;
+
     fn name(&self) -> String {
+        let c = &self.config;
         // alloc: cold — identity string for reporting, built outside the per-round loop
         format!(
             "buffered-fedcross(alpha={}, staleness_alpha={}, {})",
-            self.config.alpha, self.config.staleness_alpha, self.config.strategy
+            c.alpha, c.staleness_alpha, c.strategy
         )
     }
 
-    fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
-        let k = self.middleware.len();
-        let selected_k = ctx.clients_per_round();
-        assert_eq!(
-            selected_k, k,
-            "BufferedFedCross requires clients_per_round ({selected_k}) to equal the number of middleware models ({k})"
-        );
-        let (goal_k, max_staleness) = policy_params(ctx);
+    fn fusion(&self) -> FedCrossConfig {
+        let c = &self.config;
+        FedCrossConfig {
+            alpha: c.alpha,
+            strategy: c.strategy,
+            measure: c.measure,
+            ..Default::default()
+        }
+    }
 
-        let mut selected = ctx.select_clients();
-        ctx.rng_mut().shuffle(&mut selected);
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            .zip(self.middleware.iter())
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|(&client, model)| (client, model.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs); // release dispatch references before fusing in place
+    fn candidates(&mut self, round: Round<'_, '_>, arrived: Arrived) -> Staged<ParamVec> {
+        let Round {
+            index,
+            ctx,
+            middleware,
+        } = round;
+        let (slots, updates): (Vec<usize>, Vec<LocalUpdate>) = arrived.into_iter().unzip();
         let outcomes = ctx.upload_outcomes(&updates);
-
-        for (update, outcome) in updates.into_iter().zip(outcomes) {
-            let slot = selected
-                .iter()
-                .position(|&client| client == update.client)
-                .expect("every update comes from a selected client");
+        for ((slot, update), outcome) in slots.into_iter().zip(updates).zip(outcomes) {
+            // A re-dispatched client abandons its older pending upload — the
+            // invariant that keeps both stores at one entry per client.
             self.inflight.retain(|p| p.client != update.client);
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            let mut delta = update.params.to_vec();
-            for (d, m) in delta.iter_mut().zip(self.middleware[slot].as_slice()) {
-                *d -= *m;
-            }
             self.inflight.push(BufferedUpload {
                 client: update.client,
                 slot,
-                train_round: round,
-                due_round: round + outcome.delay,
+                delta: difference(&update.params, &middleware[slot]),
+                train_round: index,
+                due_round: index + outcome.delay,
                 copies: outcome.copies,
-                delta,
                 num_samples: update.num_samples,
                 train_loss: update.train_loss,
             });
         }
-
-        let arrivals = collect_due(&mut self.inflight, round);
-        self.absorb(round, goal_k, max_staleness, arrivals)
+        let arrivals = collect_due(&mut self.inflight, index);
+        self.absorb(index, policy_params(ctx), middleware, arrivals)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        global_model(&self.middleware)
-    }
-
-    fn global_params_into(&self, out: &mut Vec<f32>) {
-        out.resize(self.middleware[0].len(), 0.0);
-        global_model_into(out, &self.middleware);
-    }
-
-    fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        let state = AlgorithmState::multi_model(self.middleware.clone());
+    fn save_state(&self, state: AlgorithmState) -> AlgorithmState {
         let state = snapshot_store(state, "inflight", &self.inflight);
-        Ok(snapshot_store(state, "buffer", &self.buffer))
+        snapshot_store(state, "buffer", &self.buffer)
     }
 
-    fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let k = self.middleware.len();
-        let dim = self.middleware[0].len();
-        let models = state.expect_models(k, dim)?;
+    fn load_state(
+        &mut self,
+        state: &AlgorithmState,
+        k: usize,
+        dim: usize,
+    ) -> Result<(), StateError> {
         let inflight = restore_store(state, "inflight", self.num_clients, dim, k - 1)?;
-        let buffer = restore_store(state, "buffer", self.num_clients, dim, k - 1)?;
-        self.middleware = models.to_vec();
+        self.buffer = restore_store(state, "buffer", self.num_clients, dim, k - 1)?;
         self.inflight = inflight;
-        self.buffer = buffer;
         Ok(())
     }
 }
@@ -808,8 +775,8 @@ mod tests {
     fn fedcross_snapshot_roundtrips() {
         let mut algo =
             BufferedFedCross::new(BufferedFedCrossConfig::default(), vec![0.5; 2], 2, 6);
-        algo.buffer.push(upload(1, 1, 2, vec![1.0, -1.0]));
-        algo.inflight.push(BufferedUpload {
+        algo.stage.buffer.push(upload(1, 1, 2, vec![1.0, -1.0]));
+        algo.stage.inflight.push(BufferedUpload {
             due_round: 9,
             ..upload(3, 0, 5, vec![2.0, 2.0])
         });
@@ -828,7 +795,7 @@ mod tests {
         // the 2 middleware slots of the restoring algorithm.
         let mut donor =
             BufferedFedCross::new(BufferedFedCrossConfig::default(), vec![0.5; 2], 2, 6);
-        donor.buffer.push(upload(1, 5, 2, vec![1.0, -1.0]));
+        donor.stage.buffer.push(upload(1, 5, 2, vec![1.0, -1.0]));
         let state = donor.snapshot_state().unwrap();
         let mut algo =
             BufferedFedCross::new(BufferedFedCrossConfig::default(), vec![0.0; 2], 2, 6);

@@ -26,6 +26,10 @@
 //! Two optional training accelerators from Section III-D are provided in
 //! [`acceleration`]: propeller models and dynamic α.
 //!
+//! [`middleware::MiddlewareServer`] runs this loop once for every FedCross
+//! variant below; each variant supplies one [`middleware::UploadStage`]
+//! (docs/DESIGN.md §7).
+//!
 //! Beyond the paper, [`robust`] adds Byzantine-robust variants
 //! ([`robust::RobustFedAvg`], [`robust::RobustFedCross`]) built on the
 //! [`aggregation::RobustRule`] family (coordinate-wise median, trimmed mean,
@@ -37,7 +41,7 @@
 //! ## Baselines
 //!
 //! [`baselines`] implements FedAvg, FedProx, SCAFFOLD, FedGen (simplified
-//! data-free distillation, see DESIGN.md) and CluSamp behind the same
+//! data-free distillation, see docs/DESIGN.md §2) and CluSamp behind the same
 //! [`fedcross_flsim::FederatedAlgorithm`] interface, so every experiment in
 //! the paper's Section IV can be driven by the same simulation engine.
 //!
@@ -83,6 +87,7 @@ pub mod algorithm;
 pub mod analysis;
 pub mod baselines;
 pub mod buffered;
+pub mod middleware;
 pub mod registry;
 pub mod robust;
 pub mod selection;
@@ -91,6 +96,7 @@ pub use acceleration::Acceleration;
 pub use aggregation::RobustRule;
 pub use algorithm::{FedCross, FedCrossConfig};
 pub use buffered::{BufferedFedAvg, BufferedFedCross, BufferedFedCrossConfig, BufferedUpload};
+pub use middleware::{MiddlewareServer, UploadStage};
 pub use registry::{build_algorithm, AlgorithmSpec};
 pub use robust::{RobustFedAvg, RobustFedCross, RobustFedCrossConfig};
 pub use selection::{SelectionStrategy, SimilarityMeasure};

@@ -19,12 +19,14 @@
 //! hands Byzantine clients a free amplification knob (report a huge
 //! `num_samples`), so the robust variants deliberately ignore it.
 
-use crate::aggregation::{cross_aggregate_into, global_model, global_model_into, RobustRule};
+use crate::aggregation::RobustRule;
+use crate::algorithm::FedCrossConfig;
+use crate::middleware::{slot_order, Arrived, MiddlewareServer, Round, Staged, UploadStage};
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
-use fedcross_nn::params::{add_scaled, ParamBlock, ParamVec};
+use fedcross_nn::params::{add_scaled, difference, ParamBlock, ParamVec};
 
 /// FedAvg with a Byzantine-robust aggregation rule in place of the weighted
 /// average: dispatch the single global model to `K` clients, then replace it
@@ -168,11 +170,9 @@ impl Default for RobustFedCrossConfig {
 ///
 /// Cross-aggregation (collaborator selection + α-fusion) then runs on the
 /// sanitized models exactly as in plain FedCross, and the global model stays
-/// the middleware average.
-pub struct RobustFedCross {
-    config: RobustFedCrossConfig,
-    middleware: Vec<ParamBlock>,
-}
+/// the middleware average: the [`MiddlewareServer`] whose stage is the
+/// configuration's sanitizer.
+pub type RobustFedCross = MiddlewareServer<RobustFedCrossConfig>;
 
 impl RobustFedCross {
     /// Creates robust FedCross with `k` middleware models initialised from one
@@ -182,27 +182,13 @@ impl RobustFedCross {
     /// Panics if `k < 2`, `alpha` is outside `[0.5, 1)` or the rule is
     /// invalid.
     pub fn new(config: RobustFedCrossConfig, init_params: Vec<f32>, k: usize) -> Self {
-        assert!(k >= 2, "RobustFedCross needs at least two middleware models");
-        assert!(
-            (0.5..1.0).contains(&config.alpha),
-            "alpha must lie in [0.5, 1.0)"
-        );
         config.rule.validate();
-        let shared = ParamBlock::from(init_params);
-        Self {
-            config,
-            middleware: vec![shared; k],
-        }
+        Self::with_stage(config, init_params, k)
     }
 
     /// The configured hyper-parameters.
     pub fn config(&self) -> &RobustFedCrossConfig {
-        &self.config
-    }
-
-    /// The current middleware model list (for analysis and tests).
-    pub fn middleware(&self) -> &[ParamBlock] {
-        &self.middleware
+        &self.stage
     }
 
     /// The server half of a round: maps `updates` back to the middleware
@@ -211,181 +197,85 @@ impl RobustFedCross {
     /// rule and cross-aggregates the sanitized models.
     ///
     /// Public so the order-independence and resume tests can drive it with
-    /// controlled update sets; [`FederatedAlgorithm::run_round`] is a thin
-    /// wrapper. Empty updates carry all middleware over.
+    /// controlled update sets; [`FederatedAlgorithm::run_round`] takes the
+    /// same path after dispatch. Empty updates carry all middleware over.
     pub fn apply_updates(
         &mut self,
         round: usize,
         selected: &[usize],
         updates: Vec<LocalUpdate>,
     ) -> RoundReport {
-        // Canonical slot order: the round result must be a function of the
-        // upload set, not of upload arrival order.
-        let mut arrived: Vec<(usize, LocalUpdate)> = updates
-            .into_iter()
-            .map(|update| {
-                let slot = selected
-                    .iter()
-                    .position(|&client| client == update.client)
-                    .expect("every update comes from a selected client");
-                (slot, update)
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-        arrived.sort_by_key(|(slot, _)| *slot);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let ordered: Vec<&LocalUpdate> = arrived.iter().map(|(_, u)| u).collect();
-        let report = RoundReport::from_ordered(&ordered);
-        if arrived.is_empty() {
-            return report;
-        }
-
-        let dim = self.middleware[0].len();
-        // Per-slot deltas against the model each slot dispatched this round.
-        let deltas: Vec<ParamVec> = arrived
-            .iter()
-            .map(|(slot, update)| {
-                let anchor = self.middleware[*slot].as_slice();
-                update
-                    .params
-                    .iter()
-                    .zip(anchor)
-                    .map(|(u, a)| u - a)
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    .collect()
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-
-        // Sanitize: rebuild every returned middleware from its own anchor.
-        let sanitized: Vec<ParamVec> = match self.config.rule {
-            RobustRule::NormBound { .. } => {
-                // Per-slot clipping: each delta is bounded independently. The
-                // rule's anchor is the zero vector because the deltas are
-                // already anchor-relative.
-                // alloc: bounded — cohort-sized aggregation staging, once per round
-                let zero = vec![0f32; dim];
-                arrived
-                    .iter()
-                    .zip(&deltas)
-                    .map(|((slot, _), delta)| {
-                        // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut clipped = vec![0f32; dim];
-                        self.config.rule.aggregate_into(
-                            &mut clipped,
-                            &zero,
-                            std::slice::from_ref(delta),
-                        );
-                        // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut model = self.middleware[*slot].to_vec();
-                        add_scaled(&mut model, &clipped, 1.0);
-                        model
-                    })
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    .collect()
-            }
-            rule => {
-                // Exclusion rules: one robust consensus delta across the
-                // round's uploads (a single survivor is its own consensus —
-                // Krum needs two uploads to score).
-                let consensus: ParamVec = if deltas.len() == 1 {
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    deltas[0].clone()
-                } else {
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    let mut out = vec![0f32; dim];
-                    rule.aggregate_into(&mut out, &[], &deltas);
-                    out
-                };
-                arrived
-                    .iter()
-                    .map(|(slot, _)| {
-                        // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut model = self.middleware[*slot].to_vec();
-                        add_scaled(&mut model, &consensus, 1.0);
-                        model
-                    })
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    .collect()
-            }
-        };
-
-        // Cross-aggregation over the sanitized models, fused into the retired
-        // middleware buffers (slots without an upload carry over, exactly as
-        // in plain FedCross).
-        if sanitized.len() >= 2 {
-            let partners = self
-                .config
-                .strategy
-                .select_all_with(round, &sanitized, self.config.measure);
-            for (i, (slot, _)) in arrived.iter().enumerate() {
-                cross_aggregate_into(
-                    self.middleware[*slot].make_mut(),
-                    &sanitized[i],
-                    &sanitized[partners[i]],
-                    self.config.alpha,
-                );
-            }
-        } else {
-            // A lone sanitized survivor has no collaborator; keep it.
-            let slot = arrived[0].0;
-            self.middleware[slot].make_mut().copy_from_slice(&sanitized[0]);
-        }
-
-        report
+        let arrived = slot_order(selected, updates);
+        self.fuse_with(round, |config, middleware| {
+            config.sanitize(middleware, arrived)
+        })
     }
 }
 
-impl FederatedAlgorithm for RobustFedCross {
-    fn name(&self) -> String {
-        // alloc: cold — identity string for reporting, built outside the per-round loop
-        format!(
-            "robust-fedcross(alpha={}, {}, {})",
-            self.config.alpha,
-            self.config.rule.label(),
-            self.config.strategy
-        )
-    }
-
-    fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
-        let k = self.middleware.len();
-        let selected_k = ctx.clients_per_round();
-        assert_eq!(
-            selected_k, k,
-            "RobustFedCross requires clients_per_round ({selected_k}) to equal the number of middleware models ({k})"
-        );
-        let mut selected = ctx.select_clients();
-        ctx.rng_mut().shuffle(&mut selected);
-        let jobs: Vec<(usize, ParamBlock)> = selected
+impl RobustFedCrossConfig {
+    /// Rebuilds every returned middleware from its own anchor plus its
+    /// sanitized delta.
+    fn sanitize(&self, middleware: &[ParamBlock], arrived: Arrived) -> Staged<ParamVec> {
+        let dim = middleware[0].len();
+        // Per-slot deltas against the model each slot dispatched this round.
+        let deltas: Vec<ParamVec> = arrived
             .iter()
-            .zip(self.middleware.iter())
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|(&client, model)| (client, model.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+            .map(|(slot, update)| difference(&update.params, &middleware[*slot]))
+            // alloc: bounded — cohort-sized aggregation staging, once per round
             .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs); // release dispatch references before fusing in place
-        self.apply_updates(round, &selected, updates)
+        // Exclusion rules (median / trimmed mean / Krum) vote one consensus
+        // delta across the round's uploads — a single survivor is its own
+        // consensus, as Krum needs two uploads to score. Norm bounding
+        // instead clips each slot's own delta, against a zero anchor because
+        // the deltas are already anchor-relative.
+        let per_slot = matches!(self.rule, RobustRule::NormBound { .. });
+        // alloc: bounded — cohort-sized aggregation staging, once per round
+        let (zero, mut step) = (vec![0f32; dim], vec![0f32; dim]);
+        match deltas.as_slice() {
+            _ if per_slot => {}
+            [] => {}
+            [only] => step.copy_from_slice(only),
+            all => self.rule.aggregate_into(&mut step, &[], all),
+        }
+        let candidates = arrived
+            .iter()
+            .zip(&deltas)
+            .map(|(&(slot, _), delta)| {
+                if per_slot {
+                    self.rule
+                        .aggregate_into(&mut step, &zero, std::slice::from_ref(delta));
+                }
+                // alloc: bounded — cohort-sized aggregation staging, once per round
+                let mut model = middleware[slot].to_vec();
+                add_scaled(&mut model, &step, 1.0);
+                model
+            })
+            // alloc: bounded — cohort-sized aggregation staging, once per round
+            .collect();
+        Staged::from_arrived(&arrived, candidates)
+    }
+}
+
+impl UploadStage for RobustFedCrossConfig {
+    type Candidate = ParamVec;
+
+    fn name(&self) -> String {
+        let (alpha, rule, strategy) = (self.alpha, self.rule.label(), self.strategy);
+        // alloc: cold — identity string for reporting, built outside the per-round loop
+        format!("robust-fedcross(alpha={alpha}, {rule}, {strategy})")
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        global_model(&self.middleware)
+    fn fusion(&self) -> FedCrossConfig {
+        FedCrossConfig {
+            alpha: self.alpha,
+            strategy: self.strategy,
+            measure: self.measure,
+            ..Default::default()
+        }
     }
 
-    fn global_params_into(&self, out: &mut Vec<f32>) {
-        out.resize(self.middleware[0].len(), 0.0);
-        global_model_into(out, &self.middleware);
-    }
-
-    fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        Ok(AlgorithmState::multi_model(self.middleware.clone()))
-    }
-
-    fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let k = self.middleware.len();
-        let dim = self.middleware[0].len();
-        self.middleware = state.expect_models(k, dim)?.to_vec();
-        Ok(())
+    fn candidates(&mut self, round: Round<'_, '_>, arrived: Arrived) -> Staged<ParamVec> {
+        self.sanitize(round.middleware, arrived)
     }
 }
 

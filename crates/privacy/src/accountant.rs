@@ -12,8 +12,8 @@
 //!    minimising `rdp(α) + log(1/δ)/(α-1)` over a grid of orders.
 //!
 //! The bound is the *leading-order* subsampling amplification term, which is
-//! the regime (small `q`, `z ≳ 1`) the benchmark harness sweeps; DESIGN.md
-//! records this as the accountant's scope.
+//! the regime (small `q`, `z ≳ 1`) the benchmark harness sweeps;
+//! docs/DESIGN.md §4 records this as the accountant's scope.
 
 use serde::{Deserialize, Serialize};
 

@@ -24,8 +24,9 @@
 use crate::accountant::RdpAccountant;
 use crate::mechanism::{privatize_aggregate, privatize_client_delta, DpConfig};
 use crate::secure_agg::{aggregate_masked, PairwiseMasker};
-use fedcross::aggregation::{cross_aggregate_all, global_model, global_model_into};
+use fedcross::middleware::{slot_order, Arrived, MiddlewareServer, Round, Staged, UploadStage};
 use fedcross::selection::{SelectionStrategy, SimilarityMeasure};
+use fedcross::FedCrossConfig;
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
 };
@@ -275,16 +276,25 @@ impl Default for DpFedCrossConfig {
 /// The training scheme is Algorithm 1 of the paper; the only change is that
 /// every uploaded model is replaced by `dispatched + privatize(trained −
 /// dispatched)` before collaborative-model selection and cross-aggregation,
-/// exactly where DP-FedAvg privatises its client deltas.
+/// exactly where DP-FedAvg privatises its client deltas. It is the
+/// [`MiddlewareServer`] with a privatising upload stage, so fusion writes
+/// into the retired middleware buffers like every FedCross variant.
 ///
 /// **Resumable**, like [`DpFedAvg`]: noise derives from [`RoundStreams`]
 /// keyed by `(round, middleware slot)`, uploads are processed in canonical
 /// slot order, and the accountant's spent budget travels in the checkpoint.
 /// Central noise and the accountant are calibrated to the number of uploads
 /// that actually **returned** (dropout shrinks both), not the configured `K`.
-pub struct DpFedCross {
+///
+/// **No acceleration.** [`DpFedCrossConfig`] has no `acceleration` field,
+/// so DP-FedCross always fuses each upload with one collaborator at the
+/// configured α; propeller models and a dynamic α would be a new option.
+pub struct DpFedCross(MiddlewareServer<DpStage>);
+
+/// The upload stage of [`DpFedCross`]: per-(round, slot) privatisation and
+/// the accountant.
+struct DpStage {
     config: DpFedCrossConfig,
-    middleware: Vec<ParamBlock>,
     client_noise: RoundStreams,
     central_noise: RoundStreams,
     accountant: Option<RdpAccountant>,
@@ -293,46 +303,33 @@ pub struct DpFedCross {
 impl DpFedCross {
     /// Creates DP-FedCross with `k` middleware models initialised from the
     /// shared initial parameters.
+    ///
+    /// # Panics
+    /// Panics if `k < 2` or `alpha` lies outside `[0.5, 1)`.
     pub fn new(config: DpFedCrossConfig, init_params: Vec<f32>, k: usize, noise_seed: u64) -> Self {
-        assert!(k >= 2, "FedCross needs at least two middleware models");
-        assert!(
-            (0.5..1.0).contains(&config.alpha),
-            "alpha must lie in [0.5, 1.0)"
-        );
-        let shared = ParamBlock::from(init_params);
-        Self {
+        let stage = DpStage {
             config,
-            middleware: vec![shared; k],
             client_noise: RoundStreams::new(StreamDomain::DpClientNoise, noise_seed),
             central_noise: RoundStreams::new(StreamDomain::DpCentralNoise, noise_seed),
             accountant: None,
-        }
+        };
+        Self(MiddlewareServer::with_stage(stage, init_params, k))
     }
 
     /// The current middleware models (for analysis and tests).
     pub fn middleware(&self) -> &[ParamBlock] {
-        &self.middleware
+        self.0.middleware()
     }
 
     /// The (ε, δ)-DP guarantee spent so far, or `None` before the first round.
     pub fn epsilon(&self, delta: f64) -> Option<f64> {
-        self.accountant.as_ref().map(|a| a.epsilon(delta))
+        self.accountant().map(|a| a.epsilon(delta))
     }
 
     /// The underlying accountant, once the first round has fixed the nominal
     /// sampling rate.
     pub fn accountant(&self) -> Option<&RdpAccountant> {
-        self.accountant.as_ref()
-    }
-
-    fn ensure_accountant(&mut self, clients_per_round: usize, total_clients: usize) {
-        if self.accountant.is_none() {
-            let q = clients_per_round as f32 / total_clients.max(1) as f32;
-            self.accountant = Some(RdpAccountant::new(
-                self.config.dp.noise_multiplier,
-                q.clamp(f32::MIN_POSITIVE, 1.0),
-            ));
-        }
+        self.0.stage().accountant.as_ref()
     }
 
     /// The server half of one round: map every upload back to the middleware
@@ -351,80 +348,62 @@ impl DpFedCross {
         selected: &[usize],
         updates: &[LocalUpdate],
     ) -> RoundReport {
-        if updates.is_empty() {
-            return RoundReport::default();
-        }
-        // Canonical order: sort returned uploads by middleware slot. Missing
-        // slots (dropped clients) simply skip the round.
-        let mut ordered: Vec<(usize, &LocalUpdate)> = updates
-            .iter()
-            .map(|update| {
-                let slot = selected
-                    .iter()
-                    .position(|&client| client == update.client)
-                    .expect("every update comes from a selected client");
-                (slot, update)
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-        ordered.sort_by_key(|(slot, _)| *slot);
-
-        // Privatise each uploaded middleware model against the version that
-        // was dispatched to its client, each from its own (round, slot)
-        // stream.
-        let participants = ordered.len();
-        let round_client_noise = self.client_noise.round(round);
-        let round_central_noise = self.central_noise.round(round);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let mut returned_slots = Vec::with_capacity(participants);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let mut uploaded = Vec::with_capacity(participants);
-        for &(slot, update) in &ordered {
-            let dispatched = &self.middleware[slot];
-            let mut delta = difference(&update.params, dispatched);
-            let mut rng = round_client_noise.stream(slot);
-            privatize_client_delta(&mut delta, &self.config.dp, &mut rng);
-            // Central placement: each *returned* middleware stream receives
-            // noise of std z·C/participants, so the released global model
-            // (the average of the updated middleware models) carries the
-            // same perturbation magnitude as central DP-FedAvg over the same
-            // participants. Calibrating to the configured K when clients
-            // dropped out would under-noise the release.
-            let mut rng = round_central_noise.stream(slot);
-            privatize_aggregate(&mut delta, &self.config.dp, participants, &mut rng);
-            // Reconstruct dispatched + delta in the delta buffer itself
-            // (addition commutes), avoiding a full-model clone per upload.
-            add_scaled(&mut delta, dispatched.as_slice(), 1.0);
-            returned_slots.push(slot);
-            uploaded.push(delta);
-        }
-
-        if uploaded.len() >= 2 {
-            let collaborators =
-                self.config
-                    .strategy
-                    .select_all_with(round, &uploaded, self.config.measure);
-            let fused = cross_aggregate_all(&uploaded, &collaborators, self.config.alpha);
-            for (&slot, params) in returned_slots.iter().zip(fused) {
-                self.middleware[slot] = ParamBlock::from(params);
-            }
-        } else if let (Some(&slot), Some(params)) =
-            (returned_slots.first(), uploaded.into_iter().next())
-        {
-            self.middleware[slot] = ParamBlock::from(params);
-        }
-
-        if let Some(accountant) = self.accountant.as_mut() {
-            accountant.step_with_rate(participants as f64 / num_clients.max(1) as f64);
-        }
-        let ordered_updates: Vec<&LocalUpdate> =
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            ordered.iter().map(|&(_, update)| update).collect();
-        RoundReport::from_ordered(&ordered_updates)
+        // alloc: bounded — cohort-sized update handles (reference bumps), once per round
+        let arrived = slot_order(selected, updates.to_vec());
+        self.0.fuse_with(round, |stage, middleware| {
+            stage.privatize(round, num_clients, middleware, arrived)
+        })
     }
 }
 
-impl FederatedAlgorithm for DpFedCross {
+impl DpStage {
+    /// Privatises each upload against the version that was dispatched to
+    /// its client, each from its own (round, slot) stream, and records the
+    /// round's participation in the accountant.
+    fn privatize(
+        &mut self,
+        round: usize,
+        num_clients: usize,
+        middleware: &[ParamBlock],
+        arrived: Arrived,
+    ) -> Staged<Vec<f32>> {
+        let participants = arrived.len();
+        let client_noise = self.client_noise.round(round);
+        let central_noise = self.central_noise.round(round);
+        let candidates = arrived
+            .iter()
+            .map(|(slot, update)| {
+                let (slot, dispatched) = (*slot, &middleware[*slot]);
+                let mut delta = difference(&update.params, dispatched);
+                privatize_client_delta(&mut delta, &self.config.dp, &mut client_noise.stream(slot));
+                // Central placement: each *returned* middleware stream
+                // receives noise of std z·C/participants, so the released
+                // global model (the average of the updated middleware
+                // models) carries the same perturbation magnitude as central
+                // DP-FedAvg over the same participants. Calibrating to the
+                // configured K when clients dropped out would under-noise
+                // the release.
+                let mut rng = central_noise.stream(slot);
+                privatize_aggregate(&mut delta, &self.config.dp, participants, &mut rng);
+                // Reconstruct dispatched + delta in the delta buffer itself
+                // (addition commutes), avoiding a full-model clone per upload.
+                add_scaled(&mut delta, dispatched.as_slice(), 1.0);
+                delta
+            })
+            // alloc: bounded — cohort-sized aggregation staging, once per round
+            .collect();
+        if participants > 0 {
+            if let Some(accountant) = self.accountant.as_mut() {
+                accountant.step_with_rate(participants as f64 / num_clients.max(1) as f64);
+            }
+        }
+        Staged::from_arrived(&arrived, candidates)
+    }
+}
+
+impl UploadStage for DpStage {
+    type Candidate = Vec<f32>;
+
     fn name(&self) -> String {
         // Seed in the name for the same reason as DpFedAvg: a resume under a
         // different noise seed cannot be bitwise faithful and must be
@@ -440,56 +419,67 @@ impl FederatedAlgorithm for DpFedCross {
         )
     }
 
-    fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
-        let k = self.middleware.len();
-        assert_eq!(
-            ctx.clients_per_round(),
-            k,
-            "DP-FedCross requires clients_per_round to equal the number of middleware models"
-        );
-        self.ensure_accountant(k, ctx.num_clients());
+    fn fusion(&self) -> FedCrossConfig {
+        let c = &self.config;
+        FedCrossConfig {
+            alpha: c.alpha,
+            strategy: c.strategy,
+            measure: c.measure,
+            ..Default::default()
+        }
+    }
 
-        let mut selected = ctx.select_clients();
-        ctx.rng_mut().shuffle(&mut selected);
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            .zip(self.middleware.iter())
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|(&client, model)| (client, model.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs);
-        self.apply_updates(round, ctx.num_clients(), &selected, &updates)
+    fn candidates(&mut self, round: Round<'_, '_>, arrived: Arrived) -> Staged<Vec<f32>> {
+        // The first round fixes the nominal sampling rate K / N.
+        let (k, num_clients) = (round.middleware.len(), round.ctx.num_clients());
+        let q = (k as f32 / num_clients.max(1) as f32).clamp(f32::MIN_POSITIVE, 1.0);
+        let noise_multiplier = self.config.dp.noise_multiplier;
+        self.accountant
+            .get_or_insert_with(|| RdpAccountant::new(noise_multiplier, q));
+        self.privatize(round.index, num_clients, round.middleware, arrived)
+    }
+
+    fn save_state(&self, state: AlgorithmState) -> AlgorithmState {
+        match &self.accountant {
+            Some(accountant) => state.with_record(ACCOUNTANT_RECORD, accountant_record(accountant)),
+            None => state,
+        }
+    }
+
+    fn load_state(
+        &mut self,
+        state: &AlgorithmState,
+        _k: usize,
+        _dim: usize,
+    ) -> Result<(), StateError> {
+        self.accountant = restore_accountant(state, self.config.dp.noise_multiplier)?;
+        Ok(())
+    }
+}
+
+impl FederatedAlgorithm for DpFedCross {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
+        self.0.run_round(round, ctx)
     }
 
     fn global_params(&self) -> Vec<f32> {
-        global_model(&self.middleware)
+        self.0.global_params()
     }
 
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free `GlobalModelGen` for the per-round evaluation path
-        // (the kernel zero-fills `out` itself).
-        out.resize(self.middleware[0].len(), 0.0);
-        global_model_into(out, &self.middleware);
+        self.0.global_params_into(out)
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        let mut state = AlgorithmState::multi_model(self.middleware.clone());
-        if let Some(accountant) = &self.accountant {
-            state = state.with_record(ACCOUNTANT_RECORD, accountant_record(accountant));
-        }
-        Ok(state)
+        self.0.snapshot_state()
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let models = state
-            .expect_models(self.middleware.len(), self.middleware[0].len())?
-            .to_vec();
-        let accountant = restore_accountant(state, self.config.dp.noise_multiplier)?;
-        self.middleware = models;
-        self.accountant = accountant;
-        Ok(())
+        self.0.restore_state(state)
     }
 }
 

@@ -4,15 +4,23 @@
 //! change across performance refactors of the compute kernels (see
 //! `tests/tests/training_plane.rs`).
 
-use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
+use fedcross::{
+    Acceleration, BufferedFedCross, BufferedFedCrossConfig, FedCross, FedCrossConfig,
+    RobustFedCross, RobustFedCrossConfig, RobustRule, SelectionStrategy, SimilarityMeasure,
+};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{Dataset, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::client::local_train;
-use fedcross_flsim::{CommTracker, FederatedAlgorithm, LocalTrainConfig};
+use fedcross_flsim::{
+    AvailabilityModel, CommTracker, DeviceModel, FaultPlan, FederatedAlgorithm,
+    LocalTrainConfig, RoundPolicy,
+};
 use fedcross_nn::models::{
     cnn, fedavg_cnn, lstm_classifier, mlp, resnet20_lite, CnnConfig, LstmConfig,
 };
+use fedcross_nn::Model;
+use fedcross_privacy::{DpConfig, DpFedCross, NoisePlacement};
 use fedcross_tensor::{SeededRng, Tensor};
 
 fn fnv1a(values: &[f32]) -> u64 {
@@ -50,6 +58,51 @@ fn flatten_images(data: &Dataset) -> Dataset {
     )
 }
 
+/// Drives `algo` for six rounds of the tiny-CNN task under 50% random
+/// dropout (so rounds with missing slots and with a lone survivor both
+/// occur), optionally under a buffered service plane with stragglers and
+/// stalls. Returns the global-model fingerprint and every round's
+/// participant count. Mirrored by `variant_run` in
+/// `tests/tests/training_plane.rs`.
+fn variant_run(
+    algo: &mut dyn FederatedAlgorithm,
+    data: &FederatedDataset,
+    template: &dyn Model,
+    buffered: bool,
+) -> (u64, Vec<usize>) {
+    let master = SeededRng::new(41);
+    let mut participants = Vec::new();
+    for round in 0..6 {
+        let mut comm = CommTracker::new();
+        let mut ctx = RoundContext::new(
+            data,
+            template,
+            LocalTrainConfig::fast(),
+            4,
+            master.fork(round as u64),
+            &mut comm,
+        )
+        .with_availability(AvailabilityModel::RandomDropout { prob: 0.5 }, round);
+        if buffered {
+            ctx = ctx.with_service_plane(
+                RoundPolicy::Buffered {
+                    goal_k: 1,
+                    max_staleness: 4,
+                },
+                Some(FaultPlan {
+                    stall_prob: 0.3,
+                    seed: 8,
+                    ..Default::default()
+                }),
+                Some(DeviceModel::two_tier(0.5, 3.0, 5)),
+                round,
+            );
+        }
+        participants.push(algo.run_round(round, &mut ctx).participants);
+    }
+    (fnv1a(&algo.global_params()), participants)
+}
+
 fn main() {
     // 1. Three FedCross rounds on the tiny CNN (the zero_copy_plane config).
     let data = image_task(7, 6);
@@ -85,6 +138,98 @@ fn main() {
         algo.run_round(round, &mut ctx);
     }
     println!("fedcross_global {:#018x}", fnv1a(&algo.global_params()));
+
+    // 1b. Every FedCross server variant on the same task, under dropout.
+    let init = template.params_flat();
+    let robust = |rule| RobustFedCrossConfig {
+        alpha: 0.9,
+        rule,
+        ..Default::default()
+    };
+    let dp = |placement| DpConfig {
+        clip_norm: 5.0,
+        noise_multiplier: 0.05,
+        placement,
+    };
+    let dp_config = |placement| fedcross_privacy::algorithms::DpFedCrossConfig {
+        alpha: 0.9,
+        dp: dp(placement),
+        ..Default::default()
+    };
+    let mut variants: Vec<(&str, Box<dyn FederatedAlgorithm>, bool)> = vec![
+        (
+            "robust_trimmed_mean",
+            Box::new(RobustFedCross::new(
+                robust(RobustRule::TrimmedMean { trim: 0.25 }),
+                init.clone(),
+                4,
+            )),
+            false,
+        ),
+        (
+            "robust_norm_bound",
+            Box::new(RobustFedCross::new(
+                robust(RobustRule::NormBound { max_norm: 1.0 }),
+                init.clone(),
+                4,
+            )),
+            false,
+        ),
+        (
+            "robust_krum",
+            Box::new(RobustFedCross::new(
+                robust(RobustRule::Krum { f: 1, m: 2 }),
+                init.clone(),
+                4,
+            )),
+            false,
+        ),
+        (
+            "dp_central",
+            Box::new(DpFedCross::new(dp_config(NoisePlacement::Central), init.clone(), 4, 19)),
+            false,
+        ),
+        (
+            "dp_local",
+            Box::new(DpFedCross::new(dp_config(NoisePlacement::Local), init.clone(), 4, 19)),
+            false,
+        ),
+        (
+            "buffered",
+            Box::new(BufferedFedCross::new(
+                BufferedFedCrossConfig {
+                    alpha: 0.9,
+                    ..Default::default()
+                },
+                init.clone(),
+                4,
+                data.num_clients(),
+            )),
+            true,
+        ),
+        (
+            "propeller_then_dynamic",
+            Box::new(FedCross::new(
+                FedCrossConfig {
+                    alpha: 0.9,
+                    acceleration: Acceleration::PropellerThenDynamic {
+                        propellers: 2,
+                        switch_round: 2,
+                        until_round: 4,
+                    },
+                    ..Default::default()
+                },
+                init.clone(),
+                4,
+            )),
+            false,
+        ),
+    ];
+    for (name, algo, buffered) in &mut variants {
+        let (fingerprint, participants) =
+            variant_run(algo.as_mut(), &data, template.as_ref(), *buffered);
+        println!("{name} {fingerprint:#018x} participants {participants:?}");
+    }
 
     // 2. One local_train on the default CNN (crosses the matmul parallel
     //    thresholds, including the blocked at_b reduction).

@@ -17,7 +17,7 @@
 //! pass by the shuffle silently doing nothing.
 
 use fedcross::{build_algorithm, AlgorithmSpec};
-use fedcross_bench::determinism::{spec_fingerprint, sweep_spec};
+use fedcross_bench::determinism::{spec_fingerprint, sweep_all};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::Heterogeneity;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
@@ -63,15 +63,15 @@ fn live_tree_passes_the_determinism_lints() {
 // Runtime half: schedule invariance.
 // ---------------------------------------------------------------------------
 
-/// The tentpole assertion: for every registered algorithm, the trajectory
-/// fingerprint (metric bits, comm counters, final model bits) is identical
-/// at 1/2/4 rayon threads and under two different upload-arrival
-/// permutations. One test fn (not one per spec) so the global rayon thread
-/// override is never raced by a sibling test.
+/// The tentpole assertion: for every registered algorithm (and DP-FedCross,
+/// which the registry cannot reach), the trajectory fingerprint (metric
+/// bits, comm counters, final model bits) is identical at 1/2/4 rayon
+/// threads and under two different upload-arrival permutations. One test fn
+/// (not one per spec) so the global rayon thread override is never raced by
+/// a sibling test.
 #[test]
 fn registered_algorithms_are_schedule_invariant() {
-    for spec in AlgorithmSpec::registered() {
-        let outcome = sweep_spec(spec, &[1, 2, 4], &[3, 17]);
+    for outcome in sweep_all(&[1, 2, 4], &[3, 17]) {
         let bad: Vec<String> = outcome
             .variants
             .iter()

@@ -9,12 +9,22 @@
 //! loop restructure changes a single bit anywhere in training, these hashes
 //! move and the test fails.
 
-use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
+use fedcross::{
+    Acceleration, AlgorithmSpec, BufferedFedCross, BufferedFedCrossConfig, FedCross,
+    FedCrossConfig, RobustFedCross, RobustFedCrossConfig, RobustRule, SelectionStrategy,
+    SimilarityMeasure,
+};
+use fedcross_bench::determinism::{dp_fedcross_fingerprint, spec_fingerprint};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{Batch, Dataset, Heterogeneity};
 use fedcross_flsim::client::local_train;
 use fedcross_flsim::engine::RoundContext;
-use fedcross_flsim::{CommTracker, FederatedAlgorithm, LocalTrainConfig};
+use fedcross_flsim::{
+    AvailabilityModel, CommTracker, DeviceModel, FaultPlan, FederatedAlgorithm,
+    LocalTrainConfig, RoundPolicy,
+};
+use fedcross_privacy::algorithms::{DpFedCross, DpFedCrossConfig};
+use fedcross_privacy::{DpConfig, NoisePlacement};
 use fedcross_nn::layers::{
     BatchNorm2d, Conv2d, Dropout, Embedding, Flatten, GlobalAvgPool2d, Linear, Lstm, MaxPool2d,
     Relu, ResidualBlock, Sigmoid, Tanh,
@@ -467,6 +477,203 @@ fn fedcross_trajectory_matches_pre_refactor_fingerprint() {
         FEDCROSS_GLOBAL_FINGERPRINT,
         "the FedCross training trajectory diverged from the pre-refactor pipeline"
     );
+}
+
+// ---------------------------------------------------------------------------
+// FedCross server variants under dropout (regenerate with
+// `examples/trajectory_probe.rs`)
+// ---------------------------------------------------------------------------
+
+const ROBUST_TRIMMED_MEAN_FINGERPRINT: u64 = 0x89dd37f235d656bd;
+const ROBUST_NORM_BOUND_FINGERPRINT: u64 = 0xc0686545c48bc8e8;
+const ROBUST_KRUM_FINGERPRINT: u64 = 0x946a0896865d46ea;
+const DP_CENTRAL_FINGERPRINT: u64 = 0xd89dc78298ba1412;
+const DP_LOCAL_FINGERPRINT: u64 = 0x80a445b32fa11708;
+const BUFFERED_FINGERPRINT: u64 = 0x638efaf8cba65afe;
+const PROPELLER_THEN_DYNAMIC_FINGERPRINT: u64 = 0x50b54e54dae8eebc;
+
+/// Participants per round of every synchronous variant run below: rounds 2
+/// and 4 have a lone survivor, every round misses at least one slot.
+const DROPOUT_PARTICIPANTS: [usize; 6] = [2, 3, 1, 3, 1, 3];
+/// Aggregated slots per round of the buffered run: one fusion of two slots
+/// (round 3) among lone-arrival rounds.
+const BUFFERED_PARTICIPANTS: [usize; 6] = [1, 1, 1, 2, 1, 1];
+
+/// Canonical `determinism_check` fingerprints (`spec_fingerprint(spec,
+/// None)`) of the FedCross specs.
+const FEDCROSS_SWEEP_FINGERPRINT: u64 = 0x06b452b19e1efd2b;
+const ROBUST_FEDCROSS_SWEEP_FINGERPRINT: u64 = 0xe41d56c562f0e62a;
+const BUFFERED_FEDCROSS_SWEEP_FINGERPRINT: u64 = 0xbe585dbc2463bb87;
+const DP_FEDCROSS_SWEEP_FINGERPRINT: u64 = 0xf79ba7eb1f290b22;
+
+/// The FEDCROSS_GLOBAL_FINGERPRINT task: 6 clients, tiny CNN, `K = 4`.
+fn variant_task() -> (FederatedDataset, Box<dyn Model>) {
+    let data = image_task(7, 6);
+    let mut rng = SeededRng::new(3);
+    let template = cnn(
+        (3, 16, 16),
+        10,
+        CnnConfig {
+            conv_channels: (3, 6),
+            fc_hidden: 12,
+            kernel: 3,
+        },
+        &mut rng,
+    );
+    (data, template)
+}
+
+/// Drives `algo` for six rounds under 50% random dropout, optionally under a
+/// buffered service plane with stragglers and stalls. Returns the global
+/// model fingerprint and every round's participant count. Mirrors
+/// `variant_run` in `examples/trajectory_probe.rs`.
+fn variant_run(algo: &mut dyn FederatedAlgorithm, buffered: bool) -> (u64, Vec<usize>) {
+    let (data, template) = variant_task();
+    let master = SeededRng::new(41);
+    let mut participants = Vec::new();
+    for round in 0..6 {
+        let mut comm = CommTracker::new();
+        let mut ctx = RoundContext::new(
+            &data,
+            template.as_ref(),
+            LocalTrainConfig::fast(),
+            4,
+            master.fork(round as u64),
+            &mut comm,
+        )
+        .with_availability(AvailabilityModel::RandomDropout { prob: 0.5 }, round);
+        if buffered {
+            ctx = ctx.with_service_plane(
+                RoundPolicy::Buffered {
+                    goal_k: 1,
+                    max_staleness: 4,
+                },
+                Some(FaultPlan {
+                    stall_prob: 0.3,
+                    seed: 8,
+                    ..Default::default()
+                }),
+                Some(DeviceModel::two_tier(0.5, 3.0, 5)),
+                round,
+            );
+        }
+        participants.push(algo.run_round(round, &mut ctx).participants);
+    }
+    (fnv1a(&algo.global_params()), participants)
+}
+
+fn assert_variant(
+    name: &str,
+    mut algo: impl FederatedAlgorithm,
+    buffered: bool,
+    fingerprint: u64,
+    participants: &[usize],
+) {
+    let (got, rounds) = variant_run(&mut algo, buffered);
+    assert_eq!(rounds, participants, "{name}: participation pattern moved");
+    assert_eq!(got, fingerprint, "{name}: trajectory diverged from its pin");
+}
+
+fn variant_init() -> Vec<f32> {
+    variant_task().1.params_flat()
+}
+
+#[test]
+fn robust_fedcross_trajectories_match_their_fingerprints() {
+    for (rule, fingerprint) in [
+        (RobustRule::TrimmedMean { trim: 0.25 }, ROBUST_TRIMMED_MEAN_FINGERPRINT),
+        (RobustRule::NormBound { max_norm: 1.0 }, ROBUST_NORM_BOUND_FINGERPRINT),
+        (RobustRule::Krum { f: 1, m: 2 }, ROBUST_KRUM_FINGERPRINT),
+    ] {
+        let config = RobustFedCrossConfig {
+            alpha: 0.9,
+            rule,
+            ..Default::default()
+        };
+        assert_variant(
+            &rule.label(),
+            RobustFedCross::new(config, variant_init(), 4),
+            false,
+            fingerprint,
+            &DROPOUT_PARTICIPANTS,
+        );
+    }
+}
+
+#[test]
+fn dp_fedcross_trajectories_match_their_fingerprints() {
+    for (placement, fingerprint) in [
+        (NoisePlacement::Central, DP_CENTRAL_FINGERPRINT),
+        (NoisePlacement::Local, DP_LOCAL_FINGERPRINT),
+    ] {
+        let config = DpFedCrossConfig {
+            alpha: 0.9,
+            dp: DpConfig {
+                clip_norm: 5.0,
+                noise_multiplier: 0.05,
+                placement,
+            },
+            ..Default::default()
+        };
+        assert_variant(
+            &placement.to_string(),
+            DpFedCross::new(config, variant_init(), 4, 19),
+            false,
+            fingerprint,
+            &DROPOUT_PARTICIPANTS,
+        );
+    }
+}
+
+#[test]
+fn buffered_fedcross_trajectory_matches_its_fingerprint() {
+    let config = BufferedFedCrossConfig {
+        alpha: 0.9,
+        ..Default::default()
+    };
+    assert_variant(
+        "buffered",
+        BufferedFedCross::new(config, variant_init(), 4, 6),
+        true,
+        BUFFERED_FINGERPRINT,
+        &BUFFERED_PARTICIPANTS,
+    );
+}
+
+#[test]
+fn accelerated_fedcross_trajectory_matches_its_fingerprint() {
+    let config = FedCrossConfig {
+        alpha: 0.9,
+        acceleration: Acceleration::PropellerThenDynamic {
+            propellers: 2,
+            switch_round: 2,
+            until_round: 4,
+        },
+        ..Default::default()
+    };
+    assert_variant(
+        "propeller-then-dynamic",
+        FedCross::new(config, variant_init(), 4),
+        false,
+        PROPELLER_THEN_DYNAMIC_FINGERPRINT,
+        &DROPOUT_PARTICIPANTS,
+    );
+}
+
+#[test]
+fn determinism_sweep_canonical_fingerprints_are_pinned() {
+    for (label, fingerprint) in [
+        ("FedCross", FEDCROSS_SWEEP_FINGERPRINT),
+        ("Robust-FedCross", ROBUST_FEDCROSS_SWEEP_FINGERPRINT),
+        ("Buffered-FedCross", BUFFERED_FEDCROSS_SWEEP_FINGERPRINT),
+    ] {
+        let spec = AlgorithmSpec::registered()
+            .into_iter()
+            .find(|spec| spec.label() == label)
+            .expect("the spec is registered");
+        assert_eq!(spec_fingerprint(spec, None), fingerprint, "{label}");
+    }
+    assert_eq!(dp_fedcross_fingerprint(None), DP_FEDCROSS_SWEEP_FINGERPRINT);
 }
 
 #[test]

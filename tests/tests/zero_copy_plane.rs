@@ -8,7 +8,11 @@ use fedcross::aggregation::{
     cross_aggregate, cross_aggregate_all, cross_aggregate_all_into, cross_aggregate_into,
     cross_aggregate_propellers, cross_aggregate_propellers_into, global_model, global_model_into,
 };
-use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
+use fedcross::{
+    BufferedFedCross, BufferedFedCrossConfig, FedCross, FedCrossConfig, RobustFedCross,
+    RobustFedCrossConfig, SelectionStrategy, SimilarityMeasure,
+};
+use fedcross_privacy::algorithms::{DpFedCross, DpFedCrossConfig};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::Heterogeneity;
 use fedcross_flsim::engine::RoundContext;
@@ -218,27 +222,27 @@ fn construction_shares_one_buffer_across_all_middleware() {
         .all(|block| block.ptr_eq(first)));
 }
 
-#[test]
-fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
+/// Steady-state buffer discipline of one middleware server: dispatch is a
+/// reference bump, and from round 1 on fusion writes into the retired
+/// middleware buffers instead of allocating new ones.
+fn assert_fusion_reuses_middleware_buffers<A: FederatedAlgorithm>(
+    name: &str,
+    mut algo: A,
+    middleware: fn(&A) -> &[ParamBlock],
+) {
     let (data, template) = tiny_setup(11, 5);
-    let k = 4;
-    let config = FedCrossConfig {
-        alpha: 0.9,
-        ..Default::default()
-    };
-    let mut algo = FedCross::new(config, template.params_flat(), k);
+    let k = middleware(&algo).len();
     let local = LocalTrainConfig::fast();
     let master = SeededRng::new(5);
 
     // Dispatching jobs from the middleware is a reference bump, not a copy.
-    let jobs: Vec<(usize, ParamBlock)> = algo
-        .middleware()
+    let jobs: Vec<(usize, ParamBlock)> = middleware(&algo)
         .iter()
         .enumerate()
         .map(|(i, m)| (i, m.clone()))
         .collect();
-    for (job, block) in jobs.iter().zip(algo.middleware()) {
-        assert!(job.1.ptr_eq(block), "dispatch must not copy the model");
+    for (job, block) in jobs.iter().zip(middleware(&algo)) {
+        assert!(job.1.ptr_eq(block), "{name}: dispatch must not copy the model");
     }
     drop(jobs);
 
@@ -254,12 +258,14 @@ fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
         &mut comm,
     );
     algo.run_round(0, &mut ctx);
-    assert!(algo.middleware().iter().all(|m| m.is_unique()));
+    assert!(
+        middleware(&algo).iter().all(|m| m.is_unique()),
+        "{name}: round 0 left a shared middleware block"
+    );
 
     // From round 1 on, fusion writes into the retired buffers in place: the
     // backing allocations of all K middleware slots are stable.
-    let pointers: Vec<*const f32> = algo
-        .middleware()
+    let pointers: Vec<*const f32> = middleware(&algo)
         .iter()
         .map(|m| m.as_slice().as_ptr())
         .collect();
@@ -274,16 +280,45 @@ fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
             &mut comm,
         );
         algo.run_round(round, &mut ctx);
-        let now: Vec<*const f32> = algo
-            .middleware()
+        let now: Vec<*const f32> = middleware(&algo)
             .iter()
             .map(|m| m.as_slice().as_ptr())
             .collect();
         assert_eq!(
             pointers, now,
-            "round {round} reallocated a middleware buffer instead of reusing it"
+            "{name}: round {round} reallocated a middleware buffer instead of reusing it"
         );
     }
+}
+
+#[test]
+fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
+    let init = tiny_setup(11, 5).1.params_flat();
+    let k = 4;
+    let config = FedCrossConfig {
+        alpha: 0.9,
+        ..Default::default()
+    };
+    assert_fusion_reuses_middleware_buffers(
+        "FedCross",
+        FedCross::new(config, init.clone(), k),
+        |algo| algo.middleware(),
+    );
+    assert_fusion_reuses_middleware_buffers(
+        "RobustFedCross",
+        RobustFedCross::new(RobustFedCrossConfig::default(), init.clone(), k),
+        |algo| algo.middleware(),
+    );
+    assert_fusion_reuses_middleware_buffers(
+        "DpFedCross",
+        DpFedCross::new(DpFedCrossConfig::default(), init.clone(), k, 3),
+        |algo| algo.middleware(),
+    );
+    assert_fusion_reuses_middleware_buffers(
+        "BufferedFedCross",
+        BufferedFedCross::new(BufferedFedCrossConfig::default(), init, k, 5),
+        |algo| algo.middleware(),
+    );
 }
 
 #[test]
