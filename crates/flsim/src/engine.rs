@@ -219,6 +219,7 @@ pub struct RoundContext<'a> {
     plane: WorkerPlane<'a>,
     upload_shuffle: Option<u64>,
     shuffle_calls: u64,
+    alloc_guard: Option<&'static str>,
 }
 
 /// Reorders `updates` into dispatch order: the position of each update's
@@ -331,6 +332,7 @@ impl<'a> RoundContext<'a> {
             plane: WorkerPlane::Owned(ClientWorkerPool::new()),
             upload_shuffle: None,
             shuffle_calls: 0,
+            alloc_guard: None,
         }
     }
 
@@ -423,6 +425,17 @@ impl<'a> RoundContext<'a> {
     /// attaches one pool for its whole run.
     pub fn with_worker_pool(mut self, pool: &'a mut ClientWorkerPool) -> Self {
         self.plane = WorkerPlane::Shared(pool);
+        self
+    }
+
+    /// Marks this round as a steady-state region named `region`: every
+    /// training job then runs inside its own [`AllocGuard`] with
+    /// [`STEADY_LARGE_BYTES`], on whichever pool thread trains it, so a large
+    /// allocation on a worker trips the `sanitize-alloc` sanitizer and
+    /// panics through the pool to the caller. [`Simulation`] sets it on
+    /// every round after the first. No-op unless the feature is enabled.
+    pub fn with_alloc_guard(mut self, region: &'static str) -> Self {
+        self.alloc_guard = Some(region);
         self
     }
 
@@ -637,6 +650,7 @@ impl<'a> RoundContext<'a> {
             .collect();
 
         let template = self.template;
+        let guard_region = self.alloc_guard;
         let workers = self.plane.pool().ensure(prepared.len(), template);
         let work: Vec<_> = prepared
             .into_iter()
@@ -647,6 +661,8 @@ impl<'a> RoundContext<'a> {
         let updates = work
             .into_par_iter()
             .map(|(((job, mut rng), shard), worker)| {
+                let _guard =
+                    guard_region.map(|region| AllocGuard::enter(region, STEADY_LARGE_BYTES));
                 let attacker =
                     adversary.filter(|_| compromised.get(job.client).copied().unwrap_or(false));
                 // Data poisoning happens before training (the client trains
@@ -1358,14 +1374,14 @@ impl<'a> Simulation<'a> {
             // materialises those shards while this round trains.
             self.prefetch_cohort(round + 1, end_round, &master);
             // Runtime half of the allocation-discipline plane: after the
-            // warm-up round, no single allocation on this thread may reach
-            // the large-allocation threshold that round_alloc.rs pins.
-            // Thread-local by design — worker-pool allocations are covered
-            // by the global counters in the runtime pins; this guard owns
-            // the dispatch/aggregation path. No-op unless the
+            // warm-up round, no single allocation may reach the
+            // large-allocation threshold that round_alloc.rs pins. Guards
+            // are thread-local: this one owns the dispatch/aggregation path
+            // on this thread, and the context opens one per training job on
+            // the pool thread that runs it. No-op unless the
             // `sanitize-alloc` feature is enabled.
-            let round_guard = (round > start_round)
-                .then(|| AllocGuard::enter("steady-round", STEADY_LARGE_BYTES));
+            let steady = (round > start_round).then_some("steady-round");
+            let round_guard = steady.map(|region| AllocGuard::enter(region, STEADY_LARGE_BYTES));
             let report = {
                 let mut ctx = RoundContext::over_plane(
                     self.data,
@@ -1383,6 +1399,9 @@ impl<'a> Simulation<'a> {
                 }
                 if let Some(seed) = self.upload_shuffle {
                     ctx = ctx.with_upload_shuffle(seed);
+                }
+                if let Some(region) = steady {
+                    ctx = ctx.with_alloc_guard(region);
                 }
                 let report = algorithm.run_round(round, &mut ctx);
                 faults_total.absorb(&ctx.fault_tally());

@@ -1,18 +1,35 @@
 //! Offline shim for `rayon`.
 //!
-//! Implements the slice of rayon's data-parallel API this workspace uses on
-//! top of `std::thread::scope`: `par_iter` / `par_iter_mut` / `into_par_iter`
-//! on slices, vectors and ranges, `par_chunks` / `par_chunks_mut`, and the
-//! `map` / `enumerate` / `for_each` / `collect` adapters.
+//! Implements the slice of rayon's data-parallel API this workspace uses:
+//! `par_iter` / `par_iter_mut` / `into_par_iter` on slices, vectors and
+//! ranges, `par_chunks` / `par_chunks_mut`, and the `map` / `enumerate` /
+//! `for_each` / `collect` adapters.
 //!
 //! Work distribution is dynamic (an atomic cursor over the item list), so
 //! uneven tasks — e.g. federated clients with different local dataset sizes —
 //! load-balance across cores just like under real rayon's work stealing.
-//! Parallelism is real: closures run on scoped OS threads, one per available
-//! core, and panics propagate to the caller exactly as rayon's do.
+//! Every result lands in the slot of its item's index, so output order and
+//! bits never depend on which thread computed what.
+//!
+//! Parallelism is real: a call runs on helpers from one process-wide pool
+//! of persistent OS threads while the calling thread waits. The pool starts
+//! lazily on the first parallel call, grows to the largest thread count
+//! ever requested, and keeps its threads warm across calls, so a parallel
+//! call costs a condvar wake-up rather than a thread spawn, and per-thread
+//! state (e.g. matmul packing scratch) persists from one call to the next.
+//! Panics propagate to the caller exactly as rayon's do.
+//!
+//! The caller waits rather than taking items itself so that everything a
+//! call allocates lives on the helpers' allocator arenas, as it did when
+//! every call spawned fresh threads; letting the caller work too mixes
+//! long-lived worker buffers into the main thread's heap and raises peak
+//! memory (docs/PERFORMANCE.md, "Persistent rayon pool").
 
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Process-wide thread-count override (0 = unset). Set by
 /// [`set_num_threads`]; checked before `RAYON_NUM_THREADS` and
@@ -34,96 +51,193 @@ pub fn set_num_threads(n: usize) {
 /// Number of worker threads used by parallel operations: the
 /// [`set_num_threads`] override if set, else `RAYON_NUM_THREADS` from the
 /// environment (matching real rayon's default pool), else the machine's
-/// available parallelism.
+/// available parallelism. The environment is read once, on first use.
 pub fn current_num_threads() -> usize {
+    static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
     }
-    if let Ok(value) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *DEFAULT_THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|value| value.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
 }
 
 std::thread_local! {
-    /// Whether the current thread is already one of this shim's workers.
+    /// Whether the current thread is a pool helper.
     ///
-    /// Real rayon runs nested parallel calls on its one shared pool; this
-    /// shim has no pool, so a nested call from inside a worker (e.g. a
-    /// parallel matmul reached from the parallel per-client training loop)
-    /// runs serially instead of spawning `workers²` threads and paying a
-    /// thread-spawn per inner kernel invocation. The outer loop already
-    /// saturates the cores.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// A nested call from inside an item (e.g. a parallel matmul reached
+    /// from the parallel per-client training loop) runs serially on its
+    /// helper: the outer loop already saturates the cores, and the pool is
+    /// held by the outer call anyway.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f` over every item, distributing items dynamically across threads.
-fn drive<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
-    let n = items.len();
-    let threads = current_num_threads().min(n);
-    if threads <= 1 || IN_WORKER.with(|w| w.get()) {
-        items.into_iter().for_each(f);
-        return;
+/// A borrowed job closure with its lifetime erased; see [`Pool::run`].
+type Job = &'static (dyn Fn() + Sync);
+
+/// Pool bookkeeping, guarded by [`Pool::state`].
+struct State {
+    /// The job of the caller that holds the pool; `None` while it is free.
+    job: Option<Job>,
+    /// Helper seats of the current job not yet claimed.
+    seats: usize,
+    /// Helpers currently running the job.
+    running: usize,
+    /// Helper threads spawned so far; the pool never shrinks.
+    spawned: usize,
+    /// The first panic a helper caught in the current job.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// The process-wide pool of persistent helper threads.
+struct Pool {
+    state: Mutex<State>,
+    /// Signalled when a job offers helper seats.
+    offered: Condvar,
+    /// Signalled when the last helper leaves a job.
+    finished: Condvar,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(State {
+        job: None,
+        seats: 0,
+        running: 0,
+        spawned: 0,
+        panic: None,
+    }),
+    offered: Condvar::new(),
+    finished: Condvar::new(),
+};
+
+impl Pool {
+    /// Locks the state. Nothing panics while holding the lock, so poisoning
+    /// cannot occur; recovering from it anyway keeps the pool usable.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i]
-                        .lock()
-                        .expect("worker poisoned a job slot")
-                        .take()
-                        .expect("each job slot is taken exactly once");
-                    f(item);
-                }
-            });
+
+    /// Runs `job` on `threads` pool helpers while the caller waits, and
+    /// returns when every helper has left it. The job drains a shared
+    /// cursor, so it is correct with any number of participants: if another
+    /// thread's job holds the pool, the caller runs it alone. The first
+    /// panic of any helper is resumed here after all of them have finished;
+    /// the pool stays usable.
+    fn run(&'static self, threads: usize, job: &(dyn Fn() + Sync)) {
+        let mut state = self.lock();
+        if state.job.is_some() {
+            drop(state);
+            return job();
         }
-    });
+        while state.spawned < threads && self.spawn_helper() {
+            state.spawned += 1;
+        }
+        if state.spawned == 0 {
+            drop(state);
+            return job();
+        }
+        // SAFETY: only the lifetime is erased. Helpers reach the job solely
+        // through `State::job` after claiming a seat, and this function
+        // does not return until every seat has been claimed, no helper is
+        // running the job, and `State::job` is cleared again. Waiting on a
+        // condvar cannot unwind, so no helper touches `job` after this
+        // borrow ends.
+        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+        state.job = Some(erased);
+        state.seats = state.spawned.min(threads);
+        for _ in 0..state.seats {
+            self.offered.notify_one();
+        }
+        while state.seats > 0 || state.running > 0 {
+            state = self
+                .finished
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
+        let helper_panic = state.panic.take();
+        drop(state);
+        if let Some(payload) = helper_panic {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// Starts one more helper thread; false if the OS refuses. Helpers are
+    /// detached on purpose: they serve the pool until the process exits,
+    /// and every panic inside a job is caught and handed to its caller.
+    fn spawn_helper(&'static self) -> bool {
+        std::thread::Builder::new()
+            .name("rayon-worker".into())
+            .spawn(move || self.helper_loop())
+            .is_ok()
+    }
+
+    /// A helper's life: claim a seat of the current job, run it, repeat.
+    fn helper_loop(&self) {
+        IN_WORKER.with(|w| w.set(true));
+        let mut state = self.lock();
+        loop {
+            let job = match state.job {
+                Some(job) if state.seats > 0 => job,
+                _ => {
+                    state = self
+                        .offered
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    continue;
+                }
+            };
+            state.seats -= 1;
+            state.running += 1;
+            drop(state);
+            let outcome = panic::catch_unwind(AssertUnwindSafe(job));
+            state = self.lock();
+            if let Err(payload) = outcome {
+                state.panic.get_or_insert(payload);
+            }
+            state.running -= 1;
+            if state.running == 0 && state.seats == 0 {
+                self.finished.notify_one();
+            }
+        }
+    }
 }
 
-/// Maps every item in parallel, preserving order.
-fn drive_map<T: Send, U: Send, F: Fn(T) -> U + Sync>(items: Vec<T>, f: F) -> Vec<U> {
+/// The one dispatch path: maps every item in parallel, preserving order.
+///
+/// Items are handed out through an atomic cursor and each result lands in
+/// the slot of its item's index, so the output is the same for every thread
+/// count and schedule.
+fn drive<T: Send, U: Send, F: Fn(T) -> U + Sync>(items: Vec<T>, f: F) -> Vec<U> {
     let n = items.len();
     let threads = current_num_threads().min(n);
-    if threads <= 1 || IN_WORKER.with(|w| w.get()) {
+    if threads <= 1 || IN_WORKER.with(Cell::get) {
         return items.into_iter().map(f).collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i]
-                        .lock()
-                        .expect("worker poisoned a job slot")
-                        .take()
-                        .expect("each job slot is taken exactly once");
-                    let result = f(item);
-                    *out[i].lock().expect("worker poisoned a result slot") = Some(result);
-                }
-            });
+    POOL.run(threads, &|| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let item = slots[i]
+            .lock()
+            .expect("worker poisoned a job slot")
+            .take()
+            .expect("each job slot is taken exactly once");
+        let result = f(item);
+        *out[i].lock().expect("worker poisoned a result slot") = Some(result);
     });
     out.into_iter()
         .map(|m| {
@@ -175,7 +289,7 @@ pub struct ParMap<T, F> {
 impl<T: Send, U: Send, F: Fn(T) -> U + Sync> ParMap<T, F> {
     /// Applies the map in parallel and collects in input order.
     pub fn collect<C: FromParallel<U>>(self) -> C {
-        C::from_ordered(drive_map(self.items, self.f))
+        C::from_ordered(drive(self.items, self.f))
     }
 
     /// Applies the map in parallel, discarding results.
@@ -275,6 +389,38 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::{Barrier, Mutex, PoisonError};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    /// Serialises the tests that change the process-wide thread count.
+    static THREAD_COUNT: Mutex<()> = Mutex::new(());
+
+    /// Runs `body` with the thread-count override set to `n`.
+    fn with_threads<R>(n: usize, body: impl FnOnce() -> R) -> R {
+        let _lock = THREAD_COUNT.lock().unwrap_or_else(PoisonError::into_inner);
+        crate::set_num_threads(n);
+        let out = body();
+        crate::set_num_threads(0);
+        out
+    }
+
+    /// One parallel call over `items` short tasks; returns the threads that
+    /// ran them after checking the ordered results.
+    fn threads_of_call(items: usize) -> HashSet<ThreadId> {
+        let ran: Vec<(usize, ThreadId)> = (0..items)
+            .into_par_iter()
+            .map(|i| {
+                std::thread::sleep(Duration::from_micros(100));
+                (i * 3, std::thread::current().id())
+            })
+            .collect();
+        for (i, (x, _)) in ran.iter().enumerate() {
+            assert_eq!(*x, i * 3);
+        }
+        ran.into_iter().map(|(_, id)| id).collect()
+    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -349,6 +495,7 @@ mod tests {
 
     #[test]
     fn thread_override_is_respected_and_results_stay_ordered() {
+        let _lock = THREAD_COUNT.lock().unwrap_or_else(PoisonError::into_inner);
         for threads in [1, 2, 4] {
             crate::set_num_threads(threads);
             assert_eq!(crate::current_num_threads(), threads);
@@ -358,6 +505,84 @@ mod tests {
         }
         crate::set_num_threads(0);
         assert!(crate::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn pool_threads_are_reused_across_calls() {
+        // Every test here requests at most 4 threads or the default count,
+        // so the pool never holds more helpers than that bound; the caller
+        // runs a call itself only while another test's call holds the pool.
+        let bound = with_threads(0, crate::current_num_threads).max(4) + 1;
+        let seen: HashSet<ThreadId> =
+            with_threads(2, || (0..200).flat_map(|_| threads_of_call(4)).collect());
+        assert!(
+            seen.len() <= bound,
+            "200 calls ran on {} distinct threads; a persistent pool needs at most {bound}",
+            seen.len()
+        );
+    }
+
+    #[test]
+    fn pool_recovers_after_a_worker_panics() {
+        with_threads(2, || {
+            for _ in 0..3 {
+                let outcome = std::panic::catch_unwind(|| {
+                    (0..16usize).into_par_iter().for_each(|i| {
+                        if i == 5 {
+                            panic!("worker boom");
+                        }
+                    });
+                });
+                let payload = outcome.expect_err("the worker's panic must reach the caller");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker boom"));
+                let after: Vec<usize> = (0..64usize).into_par_iter().map(|x| x * x).collect();
+                assert_eq!(after, (0..64).map(|x| x * x).collect::<Vec<_>>());
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_submitters_each_get_ordered_results() {
+        with_threads(2, || {
+            let start = Barrier::new(4);
+            std::thread::scope(|scope| {
+                for t in 0..4usize {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        for call in 0..25usize {
+                            let out: Vec<usize> = (0..300usize)
+                                .into_par_iter()
+                                .map(|x| x * 7 + t * 1000 + call)
+                                .collect();
+                            let want: Vec<usize> =
+                                (0..300).map(|x| x * 7 + t * 1000 + call).collect();
+                            assert_eq!(out, want);
+                        }
+                    });
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn thread_count_changes_never_exceed_the_request() {
+        let _lock = THREAD_COUNT.lock().unwrap_or_else(PoisonError::into_inner);
+        for threads in [1, 4, 2] {
+            crate::set_num_threads(threads);
+            for _ in 0..20 {
+                let used = threads_of_call(16);
+                assert!(
+                    used.len() <= threads,
+                    "a call at {threads} thread(s) ran on {} threads",
+                    used.len()
+                );
+                if threads == 1 {
+                    assert!(used.contains(&std::thread::current().id()));
+                }
+            }
+        }
+        crate::set_num_threads(0);
     }
 
     #[test]
