@@ -41,6 +41,10 @@ pub const SPARSE_SELECTION_THRESHOLD: usize = 4096;
 /// it, per-round bookkeeping far below.
 pub const STEADY_LARGE_BYTES: usize = 64 * 1024;
 
+/// The `AllocGuard` region of a steady-state round, on the thread that
+/// drives it and on every pool thread that trains one of its jobs.
+const STEADY_REGION: &str = "steady-round";
+
 /// The client-data backend a simulation round reads shards from: either the
 /// historical fully materialised [`FederatedDataset`] or a bounded
 /// [`ShardPlane`] that synthesises shards on demand (see
@@ -219,7 +223,7 @@ pub struct RoundContext<'a> {
     plane: WorkerPlane<'a>,
     upload_shuffle: Option<u64>,
     shuffle_calls: u64,
-    alloc_guard: Option<&'static str>,
+    steady: bool,
 }
 
 /// Reorders `updates` into dispatch order: the position of each update's
@@ -332,7 +336,7 @@ impl<'a> RoundContext<'a> {
             plane: WorkerPlane::Owned(ClientWorkerPool::new()),
             upload_shuffle: None,
             shuffle_calls: 0,
-            alloc_guard: None,
+            steady: false,
         }
     }
 
@@ -428,14 +432,14 @@ impl<'a> RoundContext<'a> {
         self
     }
 
-    /// Marks this round as a steady-state region named `region`: every
-    /// training job then runs inside its own [`AllocGuard`] with
+    /// Marks this round as steady-state: every training job then runs
+    /// inside its own [`STEADY_REGION`] [`AllocGuard`] with
     /// [`STEADY_LARGE_BYTES`], on whichever pool thread trains it, so a large
     /// allocation on a worker trips the `sanitize-alloc` sanitizer and
     /// panics through the pool to the caller. [`Simulation`] sets it on
     /// every round after the first. No-op unless the feature is enabled.
-    pub fn with_alloc_guard(mut self, region: &'static str) -> Self {
-        self.alloc_guard = Some(region);
+    fn with_steady_guard(mut self) -> Self {
+        self.steady = true;
         self
     }
 
@@ -650,7 +654,7 @@ impl<'a> RoundContext<'a> {
             .collect();
 
         let template = self.template;
-        let guard_region = self.alloc_guard;
+        let steady = self.steady;
         let workers = self.plane.pool().ensure(prepared.len(), template);
         let work: Vec<_> = prepared
             .into_iter()
@@ -661,8 +665,7 @@ impl<'a> RoundContext<'a> {
         let updates = work
             .into_par_iter()
             .map(|(((job, mut rng), shard), worker)| {
-                let _guard =
-                    guard_region.map(|region| AllocGuard::enter(region, STEADY_LARGE_BYTES));
+                let _guard = steady.then(|| AllocGuard::enter(STEADY_REGION, STEADY_LARGE_BYTES));
                 let attacker =
                     adversary.filter(|_| compromised.get(job.client).copied().unwrap_or(false));
                 // Data poisoning happens before training (the client trains
@@ -1380,8 +1383,8 @@ impl<'a> Simulation<'a> {
             // on this thread, and the context opens one per training job on
             // the pool thread that runs it. No-op unless the
             // `sanitize-alloc` feature is enabled.
-            let steady = (round > start_round).then_some("steady-round");
-            let round_guard = steady.map(|region| AllocGuard::enter(region, STEADY_LARGE_BYTES));
+            let steady = round > start_round;
+            let round_guard = steady.then(|| AllocGuard::enter(STEADY_REGION, STEADY_LARGE_BYTES));
             let report = {
                 let mut ctx = RoundContext::over_plane(
                     self.data,
@@ -1400,8 +1403,8 @@ impl<'a> Simulation<'a> {
                 if let Some(seed) = self.upload_shuffle {
                     ctx = ctx.with_upload_shuffle(seed);
                 }
-                if let Some(region) = steady {
-                    ctx = ctx.with_alloc_guard(region);
+                if steady {
+                    ctx = ctx.with_steady_guard();
                 }
                 let report = algorithm.run_round(round, &mut ctx);
                 faults_total.absorb(&ctx.fault_tally());

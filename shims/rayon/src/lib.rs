@@ -17,7 +17,11 @@
 //! ever requested, and keeps its threads warm across calls, so a parallel
 //! call costs a condvar wake-up rather than a thread spawn, and per-thread
 //! state (e.g. matmul packing scratch) persists from one call to the next.
-//! Panics propagate to the caller exactly as rayon's do.
+//! Helpers are seated in a fixed order: a call at `n` threads runs on
+//! helpers `0..n`, and each of them starts with one item, so a call lands on
+//! helpers that calls of the same or a larger size have already warmed,
+//! however many helpers other calls have added to the pool. Panics
+//! propagate to the caller exactly as rayon's do.
 //!
 //! The caller waits rather than taking items itself so that everything a
 //! call allocates lives on the helpers' allocator arenas, as it did when
@@ -81,15 +85,21 @@ std::thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A borrowed job closure with its lifetime erased; see [`Pool::run`].
-type Job = &'static (dyn Fn() + Sync);
+/// A borrowed job closure with its lifetime erased; see [`Pool::run`]. Its
+/// argument is the seat it runs in.
+type Job = &'static (dyn Fn(usize) + Sync);
 
 /// Pool bookkeeping, guarded by [`Pool::state`].
 struct State {
     /// The job of the caller that holds the pool; `None` while it is free.
     job: Option<Job>,
-    /// Helper seats of the current job not yet claimed.
+    /// Counts the jobs run so far; tells a helper whether it has already
+    /// served the current one.
+    generation: u64,
+    /// Seats of the current job: helpers `0..seats` each run it once.
     seats: usize,
+    /// Seated helpers that have started the current job.
+    joined: usize,
     /// Helpers currently running the job.
     running: usize,
     /// Helper threads spawned so far; the pool never shrinks.
@@ -110,7 +120,9 @@ struct Pool {
 static POOL: Pool = Pool {
     state: Mutex::new(State {
         job: None,
+        generation: 0,
         seats: 0,
+        joined: 0,
         running: 0,
         spawned: 0,
         panic: None,
@@ -126,38 +138,36 @@ impl Pool {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs `job` on `threads` pool helpers while the caller waits, and
-    /// returns when every helper has left it. The job drains a shared
-    /// cursor, so it is correct with any number of participants: if another
-    /// thread's job holds the pool, the caller runs it alone. The first
-    /// panic of any helper is resumed here after all of them have finished;
-    /// the pool stays usable.
-    fn run(&'static self, threads: usize, job: &(dyn Fn() + Sync)) {
+    /// Runs `job` once in every seat `0..threads` and returns when all of
+    /// them are done. Seat `s` runs on helper `s` while the caller waits, so
+    /// a call at a given thread count always lands on the same, already warm
+    /// helpers, whatever larger counts earlier calls asked for. If another
+    /// thread's job holds the pool, or helpers cannot be spawned, the caller
+    /// runs every seat itself. The first panic of any helper is resumed here
+    /// after all of them have finished; the pool stays usable.
+    fn run(&'static self, threads: usize, job: &(dyn Fn(usize) + Sync)) {
         let mut state = self.lock();
-        if state.job.is_some() {
-            drop(state);
-            return job();
+        if state.job.is_none() {
+            while state.spawned < threads && self.spawn_helper(state.spawned) {
+                state.spawned += 1;
+            }
         }
-        while state.spawned < threads && self.spawn_helper() {
-            state.spawned += 1;
-        }
-        if state.spawned == 0 {
+        if state.job.is_some() || state.spawned < threads {
             drop(state);
-            return job();
+            return (0..threads).for_each(job);
         }
         // SAFETY: only the lifetime is erased. Helpers reach the job solely
-        // through `State::job` after claiming a seat, and this function
-        // does not return until every seat has been claimed, no helper is
-        // running the job, and `State::job` is cleared again. Waiting on a
-        // condvar cannot unwind, so no helper touches `job` after this
-        // borrow ends.
-        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+        // through `State::job` after joining a seat, and this function does
+        // not return until every seat has been joined, no helper is running
+        // the job, and `State::job` is cleared again. Waiting on a condvar
+        // cannot unwind, so no helper touches `job` after this borrow ends.
+        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(job) };
         state.job = Some(erased);
-        state.seats = state.spawned.min(threads);
-        for _ in 0..state.seats {
-            self.offered.notify_one();
-        }
-        while state.seats > 0 || state.running > 0 {
+        state.generation += 1;
+        state.seats = threads;
+        state.joined = 0;
+        self.offered.notify_all();
+        while state.joined < state.seats || state.running > 0 {
             state = self
                 .finished
                 .wait(state)
@@ -171,23 +181,24 @@ impl Pool {
         }
     }
 
-    /// Starts one more helper thread; false if the OS refuses. Helpers are
-    /// detached on purpose: they serve the pool until the process exits,
-    /// and every panic inside a job is caught and handed to its caller.
-    fn spawn_helper(&'static self) -> bool {
+    /// Starts helper `index`; false if the OS refuses. Helpers are detached
+    /// on purpose: they serve the pool until the process exits, and every
+    /// panic inside a job is caught and handed to its caller.
+    fn spawn_helper(&'static self, index: usize) -> bool {
         std::thread::Builder::new()
             .name("rayon-worker".into())
-            .spawn(move || self.helper_loop())
+            .spawn(move || self.helper_loop(index))
             .is_ok()
     }
 
-    /// A helper's life: claim a seat of the current job, run it, repeat.
-    fn helper_loop(&self) {
+    /// A helper's life: run seat `index` of every job that offers it.
+    fn helper_loop(&self, index: usize) {
         IN_WORKER.with(|w| w.set(true));
+        let mut served = 0;
         let mut state = self.lock();
         loop {
             let job = match state.job {
-                Some(job) if state.seats > 0 => job,
+                Some(job) if index < state.seats && served != state.generation => job,
                 _ => {
                     state = self
                         .offered
@@ -196,16 +207,17 @@ impl Pool {
                     continue;
                 }
             };
-            state.seats -= 1;
+            served = state.generation;
+            state.joined += 1;
             state.running += 1;
             drop(state);
-            let outcome = panic::catch_unwind(AssertUnwindSafe(job));
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| job(index)));
             state = self.lock();
             if let Err(payload) = outcome {
                 state.panic.get_or_insert(payload);
             }
             state.running -= 1;
-            if state.running == 0 && state.seats == 0 {
+            if state.running == 0 && state.joined == state.seats {
                 self.finished.notify_one();
             }
         }
@@ -214,7 +226,9 @@ impl Pool {
 
 /// The one dispatch path: maps every item in parallel, preserving order.
 ///
-/// Items are handed out through an atomic cursor and each result lands in
+/// Seat `s` starts with item `s` and then takes items from an atomic cursor,
+/// so every seated helper runs at least one item (and warms its per-thread
+/// state) while uneven items still balance dynamically. Each result lands in
 /// the slot of its item's index, so the output is the same for every thread
 /// count and schedule.
 fn drive<T: Send, U: Send, F: Fn(T) -> U + Sync>(items: Vec<T>, f: F) -> Vec<U> {
@@ -225,19 +239,19 @@ fn drive<T: Send, U: Send, F: Fn(T) -> U + Sync>(items: Vec<T>, f: F) -> Vec<U> 
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    POOL.run(threads, &|| loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
+    let cursor = AtomicUsize::new(threads);
+    POOL.run(threads, &|seat| {
+        let mut i = seat;
+        while i < n {
+            let item = slots[i]
+                .lock()
+                .expect("worker poisoned a job slot")
+                .take()
+                .expect("each job slot is taken exactly once");
+            let result = f(item);
+            *out[i].lock().expect("worker poisoned a result slot") = Some(result);
+            i = cursor.fetch_add(1, Ordering::Relaxed);
         }
-        let item = slots[i]
-            .lock()
-            .expect("worker poisoned a job slot")
-            .take()
-            .expect("each job slot is taken exactly once");
-        let result = f(item);
-        *out[i].lock().expect("worker poisoned a result slot") = Some(result);
     });
     out.into_iter()
         .map(|m| {
@@ -520,6 +534,48 @@ mod tests {
             "200 calls ran on {} distinct threads; a persistent pool needs at most {bound}",
             seen.len()
         );
+    }
+
+    #[test]
+    fn calls_of_one_size_reuse_the_same_helpers() {
+        // After the pool has grown to 4 helpers, every 2-thread call must
+        // run on the same two of them. A call that ran on its caller
+        // (another test's call held the pool) is skipped.
+        with_threads(4, || threads_of_call(16));
+        let caller = std::thread::current().id();
+        let seen: HashSet<ThreadId> = with_threads(2, || {
+            (0..50)
+                .flat_map(|_| threads_of_call(16))
+                .filter(|&id| id != caller)
+                .collect()
+        });
+        assert!(
+            seen.len() <= 2,
+            "50 two-thread calls ran on {} distinct helpers",
+            seen.len()
+        );
+    }
+
+    #[test]
+    fn every_seated_helper_runs_an_item() {
+        // Items this short are drained by whichever helper wakes first
+        // unless each seat starts with its own item.
+        with_threads(4, || {
+            let caller = std::thread::current().id();
+            for _ in 0..20 {
+                let used: HashSet<ThreadId> = (0..4usize)
+                    .into_par_iter()
+                    .map(|_| std::thread::current().id())
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .collect();
+                assert!(
+                    used.len() == 4 || used == HashSet::from([caller]),
+                    "4 items at 4 threads ran on {} threads",
+                    used.len()
+                );
+            }
+        });
     }
 
     #[test]

@@ -18,7 +18,7 @@
 #![cfg(feature = "sanitize-alloc")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 use fedcross_tensor::alloc_guard::{note_alloc, regions_entered, AllocGuard};
@@ -101,13 +101,13 @@ fn probe_data(rng: &mut SeededRng) -> FederatedDataset {
     )
 }
 
-/// The same ~400 KB probe model round_alloc.rs pins: an order of magnitude
-/// above the guard threshold, so any reintroduced full-model allocation in
-/// a guarded region trips immediately.
-#[test]
-fn simulation_runs_green_with_guards_active() {
+/// Runs the same ~400 KB probe model round_alloc.rs pins through 6 rounds
+/// of FedCross with `k` middleware models at `threads` rayon threads (0 =
+/// the default count). The model is an order of magnitude above the guard
+/// threshold, so any reintroduced full-model allocation in a guarded
+/// region trips immediately.
+fn run_guarded_probe(k: usize, threads: usize) {
     let _serial = SIMULATIONS.lock().unwrap_or_else(PoisonError::into_inner);
-    let k = 4usize;
     let mut rng = SeededRng::new(7);
     let data = probe_data(&mut rng);
     let template = Sequential::new("sanitize-probe")
@@ -128,7 +128,10 @@ fn simulation_runs_green_with_guards_active() {
     let sim = Simulation::new(probe_config(6, k), &data, template.clone_model());
     // Any ≥64 KiB allocation inside a steady round or eval panics the
     // guard, failing this test — completing the run IS the assertion.
-    let result = sim.run(&mut algorithm);
+    rayon::set_num_threads(threads);
+    let outcome = catch_unwind(AssertUnwindSafe(|| sim.run(&mut algorithm)));
+    rayon::set_num_threads(0);
+    let result = outcome.unwrap_or_else(|payload| resume_unwind(payload));
     assert_eq!(result.rounds_completed, 6);
     assert!(result.history.records().iter().all(|r| r.test_loss.is_finite()));
 
@@ -138,6 +141,20 @@ fn simulation_runs_green_with_guards_active() {
         entered >= 10,
         "expected at least 10 guarded regions (5 steady rounds + 5 steady evals), saw {entered}"
     );
+}
+
+#[test]
+fn simulation_runs_green_with_guards_active() {
+    run_guarded_probe(4, 0);
+}
+
+/// More rayon threads than middleware models: the per-round parameter
+/// average asks the pool for every thread, training only for `k`. A steady
+/// round's training must still land on helpers that trained in the warm-up
+/// round, whose matmul packing scratch has already grown.
+#[test]
+fn simulation_runs_green_with_more_threads_than_clients() {
+    run_guarded_probe(2, 4);
 }
 
 /// The guard must actually see real allocations from the global allocator —
