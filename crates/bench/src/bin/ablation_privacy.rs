@@ -146,7 +146,7 @@ fn main() {
     println!("shrinks, and at every noise level DP-FedCross degrades the same way DP-FedAvg does");
     println!("— the Section IV-F1 claim that the multi-to-multi scheme composes with FedAvg-style");
     println!("privacy mechanisms. (At this reduced scale FedCross itself converges more slowly");
-    println!("than FedAvg — see the Table II notes in EXPERIMENTS.md — so compare each method");
+    println!("than FedAvg — see docs/DESIGN.md §3 (Reproduction scale) — so compare each method");
     println!("against its own no-DP row, not the two methods against each other.)");
 }
 

@@ -48,7 +48,7 @@ fn main() {
 
     println!("Table II — Test accuracy (%) comparison (mean ± std over the last evaluations)");
     println!(
-        "(reduced scale: {} clients, K={}, {} rounds, {} samples/client — see EXPERIMENTS.md)\n",
+        "(reduced scale: {} clients, K={}, {} rounds, {} samples/client — see docs/DESIGN.md §3, Reproduction scale)\n",
         config.num_clients, config.clients_per_round, config.rounds, config.samples_per_client
     );
 

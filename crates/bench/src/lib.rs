@@ -366,7 +366,8 @@ pub fn run_method_on(
 /// rounds the same budget corresponds to α ≈ 0.9 / 0.8, so the between-method
 /// comparisons (Table II, Figures 5–7) use this mapped value; the α ablations
 /// (Table III, Figure 8) still sweep α explicitly and show the full-range
-/// behaviour at this scale. Documented in EXPERIMENTS.md.
+/// behaviour at this scale. Documented in docs/DESIGN.md §3 (Reproduction
+/// scale).
 pub fn scaled_fedcross() -> AlgorithmSpec {
     AlgorithmSpec::FedCross {
         alpha: 0.9,

@@ -2,7 +2,7 @@
 
 use crate::codec::Compressor;
 use crate::feedback::ErrorFeedback;
-use fedcross_flsim::checkpoint::{decode_u64, encode_u64, AlgorithmState, StateError};
+use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_flsim::streams::{RoundStreams, StreamDomain};
@@ -10,9 +10,7 @@ use fedcross_nn::params::{add_scaled, average, difference, ParamBlock};
 use serde::{Deserialize, Serialize};
 
 /// Name of the [`AlgorithmState`] record holding the [`UploadStats`]
-/// counters: `[raw_scalars, compressed_scalars, uploads]` as decimal strings
-/// (the JSON shim's numbers are f64-backed, so numeric u64 would truncate
-/// above 2^53).
+/// counters: `[raw_scalars, compressed_scalars, uploads]`.
 const UPLOAD_STATS_RECORD: &str = "upload_stats";
 
 /// Name of the [`AlgorithmState`] client table holding the per-client
@@ -193,9 +191,9 @@ impl FederatedAlgorithm for CompressedFedAvg {
         let mut state = AlgorithmState::single_model(self.global.clone()).with_record(
             UPLOAD_STATS_RECORD,
             vec![
-                encode_u64(self.stats.raw_scalars),
-                encode_u64(self.stats.compressed_scalars),
-                encode_u64(self.stats.uploads),
+                self.stats.raw_scalars,
+                self.stats.compressed_scalars,
+                self.stats.uploads,
             ],
         );
         if let Some(feedback) = &self.feedback {
@@ -209,9 +207,9 @@ impl FederatedAlgorithm for CompressedFedAvg {
         let global = state.expect_single_model(dim)?.clone();
         let record = state.expect_record(UPLOAD_STATS_RECORD, 3)?;
         let stats = UploadStats {
-            raw_scalars: decode_u64(&record[0])?,
-            compressed_scalars: decode_u64(&record[1])?,
-            uploads: decode_u64(&record[2])?,
+            raw_scalars: record[0],
+            compressed_scalars: record[1],
+            uploads: record[2],
         };
         // The residual table exists iff error feedback is on: the algorithm
         // name encodes the EF flag, so the engine's name check already rules

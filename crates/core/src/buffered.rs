@@ -27,7 +27,7 @@
 //!   canonical client/slot order, so the result is a pure function of the
 //!   arrival *set* — never of arrival order (pinned by
 //!   tests/tests/fault_plane.rs proptests),
-//! * both stores ride checkpoint v3 `client_tables`/`records`, so a crash
+//! * both stores ride the checkpoint's `client_tables`/`records`, so a crash
 //!   between arrival and aggregation resumes bitwise
 //!   (tests/tests/resume_plane.rs),
 //! * staleness weighting is deliberately **unweighted by sample counts**,
@@ -37,9 +37,7 @@
 use crate::algorithm::FedCrossConfig;
 use crate::middleware::{Arrived, MiddlewareServer, Round, Staged, UploadStage};
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
-use fedcross_flsim::checkpoint::{
-    decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
-};
+use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_flsim::faults::RoundPolicy;
@@ -122,9 +120,13 @@ fn report_from(entries: &[BufferedUpload]) -> RoundReport {
     }
 }
 
+/// Fields per entry in a store's `<name>_meta` record: train round, due
+/// round, copies, slot, sample count and the train loss's `f64` bits.
+const META_FIELDS: usize = 6;
+
 /// Serialises one pending store (in-flight or buffer) into a checkpoint
 /// state: the deltas as a client table (sorted by client id), the per-entry
-/// scalars as an aligned string record.
+/// scalars as a record of [`META_FIELDS`] words per entry, in table order.
 fn snapshot_store(
     state: AlgorithmState,
     name: &str,
@@ -136,18 +138,17 @@ fn snapshot_store(
         .iter()
         .map(|e| (e.client, e.delta.clone()))
         .collect();
-    let meta: Vec<String> = sorted
+    let meta: Vec<u64> = sorted
         .iter()
-        .map(|e| {
-            format!(
-                "{},{},{},{},{},{}",
-                encode_u64(e.train_round as u64),
-                encode_u64(e.due_round as u64),
-                encode_u64(e.copies as u64),
-                encode_u64(e.slot as u64),
-                encode_u64(e.num_samples as u64),
-                encode_f64(f64::from(e.train_loss)),
-            )
+        .flat_map(|e| {
+            [
+                e.train_round as u64,
+                e.due_round as u64,
+                e.copies as u64,
+                e.slot as u64,
+                e.num_samples as u64,
+                f64::from(e.train_loss).to_bits(),
+            ]
         })
         .collect();
     state
@@ -166,17 +167,17 @@ fn restore_store(
     max_slot: usize,
 ) -> Result<Vec<BufferedUpload>, StateError> {
     let table = state.expect_client_table(name, num_clients, dim)?;
-    let meta = state.expect_record(&format!("{name}_meta"), table.len())?;
+    let meta = state.expect_record(&format!("{name}_meta"), META_FIELDS * table.len())?;
     let mut entries = Vec::with_capacity(table.len());
-    for ((client, delta), line) in table.iter().zip(meta) {
-        let parts: Vec<&str> = line.split(',').collect();
-        if parts.len() != 6 {
-            return Err(StateError::new(format!(
-                "store `{name}` meta entry for client {client} has {} fields, expected 6",
-                parts.len()
-            )));
-        }
-        let slot = decode_u64(parts[3])? as usize;
+    for ((client, delta), fields) in table.iter().zip(meta.chunks_exact(META_FIELDS)) {
+        let field = |i: usize| {
+            usize::try_from(fields[i]).map_err(|_| {
+                StateError::new(format!(
+                    "store `{name}` meta field {i} for client {client} overflows usize"
+                ))
+            })
+        };
+        let slot = field(3)?;
         if slot > max_slot {
             return Err(StateError::new(format!(
                 "store `{name}` entry for client {client} targets slot {slot}, max is {max_slot}"
@@ -185,12 +186,12 @@ fn restore_store(
         entries.push(BufferedUpload {
             client: *client,
             slot,
-            train_round: decode_u64(parts[0])? as usize,
-            due_round: decode_u64(parts[1])? as usize,
-            copies: decode_u64(parts[2])? as usize,
+            train_round: field(0)?,
+            due_round: field(1)?,
+            copies: field(2)?,
             delta: delta.clone(),
-            num_samples: decode_u64(parts[4])? as usize,
-            train_loss: decode_f64(parts[5])? as f32,
+            num_samples: field(4)?,
+            train_loss: f64::from_bits(fields[5]) as f32,
         });
     }
     Ok(entries)

@@ -31,11 +31,6 @@ impl std::fmt::Display for CommOverheadClass {
 }
 
 /// Counts scalars (f32 parameters) moved between the cloud server and clients.
-///
-/// Serialisation note: the counters travel as **decimal strings**, not JSON
-/// numbers — the serde shim's number representation is f64-backed, which
-/// would silently truncate counts above 2^53 and break the resume plane's
-/// "identical communication totals" guarantee on very long large-model runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommTracker {
     /// Scalars sent server → client as model parameters.
@@ -50,42 +45,6 @@ pub struct CommTracker {
     pub rounds: u64,
     /// Number of client contacts (one per dispatched model).
     pub client_contacts: u64,
-}
-
-impl Serialize for CommTracker {
-    fn to_value(&self) -> serde::Value {
-        let counter = |n: u64| serde::Value::Str(n.to_string());
-        serde::Value::Object(vec![
-            ("model_download".to_string(), counter(self.model_download)),
-            ("model_upload".to_string(), counter(self.model_upload)),
-            ("extra_download".to_string(), counter(self.extra_download)),
-            ("extra_upload".to_string(), counter(self.extra_upload)),
-            ("rounds".to_string(), counter(self.rounds)),
-            ("client_contacts".to_string(), counter(self.client_contacts)),
-        ])
-    }
-}
-
-impl Deserialize for CommTracker {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_object().ok_or_else(|| {
-            serde::Error::custom(format!("expected object, found {}", value.kind()))
-        })?;
-        let counter = |name: &str| -> Result<u64, serde::Error> {
-            let text: String = serde::derive_support::field(entries, name)?;
-            text.parse::<u64>().map_err(|_| {
-                serde::Error::custom(format!("field `{name}`: invalid u64 `{text}`"))
-            })
-        };
-        Ok(Self {
-            model_download: counter("model_download")?,
-            model_upload: counter("model_upload")?,
-            extra_download: counter("extra_download")?,
-            extra_upload: counter("extra_upload")?,
-            rounds: counter("rounds")?,
-            client_contacts: counter("client_contacts")?,
-        })
-    }
 }
 
 impl CommTracker {

@@ -1497,9 +1497,7 @@ impl<'a> Simulation<'a> {
     /// generation config, but a caller swapping real datasets of identical
     /// shape must keep that pairing straight themselves.
     pub fn config_fingerprint(&self) -> String {
-        // FNV-1a over the trajectory-shaping fields, rendered as hex (a u64
-        // survives the JSON number representation only up to 2^53, so the
-        // fingerprint travels as a string).
+        // FNV-1a over the trajectory-shaping fields, rendered as hex.
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |value: u64| {
             for byte in value.to_le_bytes() {

@@ -4,10 +4,8 @@
 //! Table II/III report "mean ± std" accuracies; [`TrainingHistory`] captures
 //! the raw series and provides those summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// One evaluated communication round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundRecord {
     /// Communication round index (0-based).
     pub round: usize,
@@ -20,7 +18,7 @@ pub struct RoundRecord {
 }
 
 /// The accuracy/loss series of one training run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainingHistory {
     records: Vec<RoundRecord>,
 }

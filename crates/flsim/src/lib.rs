@@ -23,7 +23,7 @@
 //! * [`faults`] — transport/server fault injection (mid-round crashes,
 //!   stalled and duplicated uploads, transient apply failures) plus the
 //!   [`faults::RoundPolicy`] family that decides how rounds close,
-//! * [`checkpoint`] — the resume plane: atomic JSON checkpoints of the
+//! * [`checkpoint`] — the resume plane: atomic binary checkpoints of the
 //!   complete training state ([`checkpoint::AlgorithmState`]), restored by
 //!   [`engine::Simulation::resume`] for bitwise-identical continuation,
 //! * [`fairness`] — per-client accuracy distribution of a deployed global

@@ -159,22 +159,6 @@ impl PartialEq for ParamBlock {
     }
 }
 
-impl serde::Serialize for ParamBlock {
-    /// Serialises as a plain JSON array of scalars, indistinguishable from a
-    /// `Vec<f32>` on disk. The shim's shortest-round-trip float formatting
-    /// makes the JSON round trip bitwise exact for every finite `f32`, which
-    /// the resume plane's bitwise-identity guarantee relies on.
-    fn to_value(&self) -> serde::Value {
-        serde::Serialize::to_value(self.as_slice())
-    }
-}
-
-impl serde::Deserialize for ParamBlock {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        <Vec<f32> as serde::Deserialize>::from_value(value).map(ParamBlock::new)
-    }
-}
-
 impl PartialEq<Vec<f32>> for ParamBlock {
     fn eq(&self, other: &Vec<f32>) -> bool {
         self.as_slice() == other.as_slice()

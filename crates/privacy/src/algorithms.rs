@@ -27,27 +27,23 @@ use crate::secure_agg::{aggregate_masked, PairwiseMasker};
 use fedcross::middleware::{slot_order, Arrived, MiddlewareServer, Round, Staged, UploadStage};
 use fedcross::selection::{SelectionStrategy, SimilarityMeasure};
 use fedcross::FedCrossConfig;
-use fedcross_flsim::checkpoint::{
-    decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
-};
+use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_flsim::streams::{RoundStreams, StreamDomain};
 use fedcross_nn::params::{add_scaled, average, difference, ParamBlock};
 
 /// Name of the [`AlgorithmState`] record holding an [`RdpAccountant`]'s
-/// spent budget: `[rounds, sampling_rate, spent_rdp per order...]`.
+/// spent budget: `[rounds, sampling_rate, spent_rdp per order...]`, the
+/// `f64` values as their bit patterns.
 const ACCOUNTANT_RECORD: &str = "rdp_accountant";
 
 /// Encodes an accountant's consumed state for a checkpoint (everything a
 /// [`RdpAccountant::restore`] needs besides the configured noise multiplier,
 /// which the algorithm's own `DpConfig` supplies).
-fn accountant_record(accountant: &RdpAccountant) -> Vec<String> {
-    let mut record = vec![
-        encode_u64(accountant.rounds()),
-        encode_f64(accountant.sampling_rate()),
-    ];
-    record.extend(accountant.spent_rdp().iter().copied().map(encode_f64));
+fn accountant_record(accountant: &RdpAccountant) -> Vec<u64> {
+    let mut record = vec![accountant.rounds(), accountant.sampling_rate().to_bits()];
+    record.extend(accountant.spent_rdp().iter().map(|spent| spent.to_bits()));
     record
 }
 
@@ -62,11 +58,8 @@ fn restore_accountant(
         return Ok(None);
     }
     let record = state.expect_record(ACCOUNTANT_RECORD, 2 + RdpAccountant::orders().len())?;
-    let rounds = decode_u64(&record[0])?;
-    let sampling_rate = decode_f64(&record[1])?;
-    let spent: Result<Vec<f64>, StateError> =
-        record[2..].iter().map(|text| decode_f64(text)).collect();
-    RdpAccountant::restore(noise_multiplier as f64, sampling_rate, rounds, spent?)
+    let spent = record[2..].iter().map(|&bits| f64::from_bits(bits)).collect();
+    RdpAccountant::restore(noise_multiplier as f64, f64::from_bits(record[1]), record[0], spent)
         .map(Some)
         .map_err(|message| StateError::new(format!("accountant record: {message}")))
 }

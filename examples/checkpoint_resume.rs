@@ -1,6 +1,6 @@
 //! Checkpoint and resume: stop a FedCross run half-way, persist its complete
 //! state (middleware models + learning curve + communication counters) to
-//! JSON, reload it after a simulated server restart and finish the run —
+//! disk, reload it after a simulated server restart and finish the run —
 //! **bitwise identically** to a run that was never interrupted.
 //!
 //! FedCross' training state is the middleware model list — the deployable
@@ -80,7 +80,7 @@ fn main() {
         partial.final_accuracy_pct()
     );
 
-    let checkpoint_path = std::env::temp_dir().join("fedcross-example-checkpoint.json");
+    let checkpoint_path = std::env::temp_dir().join("fedcross-example-checkpoint");
     let checkpoint = sim
         .checkpoint(&algo, &partial)
         .expect("FedCross supports checkpointing");

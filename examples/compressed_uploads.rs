@@ -103,7 +103,7 @@ fn main() {
     let mut interrupted = build();
     let partial = sim.run_segment(&mut interrupted, 0, halfway);
     let checkpoint_path =
-        std::env::temp_dir().join("fedcross-example-compressed-checkpoint.json");
+        std::env::temp_dir().join("fedcross-example-compressed-checkpoint");
     sim.checkpoint(&interrupted, &partial)
         .expect("CompressedFedAvg supports checkpointing")
         .save(&checkpoint_path)

@@ -104,7 +104,7 @@ fn main() {
         partial.final_accuracy_pct(),
         partial.faults.missed_deadline,
     );
-    let checkpoint_path = std::env::temp_dir().join("fedcross-example-deadline.json");
+    let checkpoint_path = std::env::temp_dir().join("fedcross-example-deadline");
     sim.checkpoint(&algo, &partial)
         .expect("FedCross supports checkpointing")
         .save(&checkpoint_path)

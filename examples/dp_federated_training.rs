@@ -137,7 +137,7 @@ fn main() {
     let halfway = sim_config.rounds / 2;
     let mut interrupted = build_fedcross();
     let partial = sim.run_segment(&mut interrupted, 0, halfway);
-    let checkpoint_path = std::env::temp_dir().join("fedcross-example-dp-checkpoint.json");
+    let checkpoint_path = std::env::temp_dir().join("fedcross-example-dp-checkpoint");
     sim.checkpoint(&interrupted, &partial)
         .expect("DP-FedCross supports checkpointing")
         .save(&checkpoint_path)

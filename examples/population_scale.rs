@@ -103,7 +103,7 @@ fn main() {
     // Phase 1: half the run, then an atomic checkpoint.
     let mut algo = FedCross::new(fed_config, template.params_flat(), K);
     let partial = sim.run_segment(&mut algo, 0, halfway);
-    let checkpoint_path = std::env::temp_dir().join("fedcross-population-scale.json");
+    let checkpoint_path = std::env::temp_dir().join("fedcross-population-scale");
     let checkpoint = sim
         .checkpoint(&algo, &partial)
         .expect("FedCross supports checkpointing");

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # Snapshot the round-pipeline, client-training, round-plane,
-# robust-aggregation, buffered-aggregation and population-scaling criterion
-# benches into a machine-readable JSON file (default: BENCH_PR9.json at the
+# robust-aggregation, buffered-aggregation, population-scaling and
+# checkpoint-codec criterion benches into a machine-readable JSON file (default: BENCH_PR9.json at the
 # repo root).
 #
 # The workspace's criterion shim appends one JSON line per benchmark to the
 # file named by FEDCROSS_BENCH_JSON; this script runs the `aggregation`,
 # `fl_round`, `client_training`, `round_plane`, `robust_aggregation`,
-# `buffered_aggregation` and `population_scale` benches with that hook
-# enabled and wraps the lines into a JSON document. The
+# `buffered_aggregation`, `population_scale` and `checkpoint_codec` benches
+# with that hook enabled and wraps the lines into a JSON document. The
 # `population_scale/*` group sweeps the sharded lazy data plane from 10^3 to
 # 10^6 clients at fixed K=10 — per-round cost and cohort selection must stay
-# flat in the population (see docs/SCALE.md).
+# flat in the population (see docs/SCALE.md). The `checkpoint_codec/*` group
+# times checkpoint save (fsync included) and load at d = 10^5..10^7 and
+# prints the file size at each d (see docs/PERFORMANCE.md).
 # Note that since PR 3 the
 # `fl_round/one_round/*` benchmarks measure *steady-state* rounds on the
 # persistent worker plane (warm cached models), which is the cost a
@@ -31,6 +33,7 @@ FEDCROSS_BENCH_JSON="$lines" cargo bench -p fedcross-bench --bench round_plane
 FEDCROSS_BENCH_JSON="$lines" cargo bench -p fedcross-bench --bench robust_aggregation
 FEDCROSS_BENCH_JSON="$lines" cargo bench -p fedcross-bench --bench buffered_aggregation
 FEDCROSS_BENCH_JSON="$lines" cargo bench -p fedcross-bench --bench population_scale
+FEDCROSS_BENCH_JSON="$lines" cargo bench -p fedcross-bench --bench checkpoint_codec
 
 {
     printf '{\n'

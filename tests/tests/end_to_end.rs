@@ -134,9 +134,9 @@ fn fedcross_is_not_inferior_to_fedavg_on_a_skewed_federation() {
     assert!(fedcross > 0.15, "FedCross failed to learn ({fedcross})");
     // At this 12-round budget FedCross' middleware models are still unifying, so
     // it trails a saturated FedAvg on the easy library-default data; the paper's
-    // full-margin superiority needs paper-scale rounds (see EXPERIMENTS.md). The
-    // robust invariant at integration-test scale is that FedCross stays within
-    // striking distance rather than diverging.
+    // full-margin superiority needs paper-scale rounds (see docs/DESIGN.md §3,
+    // "Reproduction scale"). The robust invariant at integration-test scale is
+    // that FedCross stays within striking distance rather than diverging.
     assert!(
         fedcross >= 0.6 * fedavg,
         "FedCross ({fedcross}) fell well behind FedAvg ({fedavg})"

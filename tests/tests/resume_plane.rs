@@ -72,11 +72,11 @@ fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
 }
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("fedcross-resume-plane-{tag}.json"))
+    std::env::temp_dir().join(format!("fedcross-resume-plane-{tag}"))
 }
 
 /// Runs the algorithm uninterrupted, then as checkpoint-at-R + restart +
-/// resume (through an actual JSON file round trip), and asserts the two
+/// resume (through an actual checkpoint file round trip), and asserts the two
 /// trajectories are indistinguishable bit for bit. `build` receives
 /// `(initial parameters, federation size)`; `check` receives the
 /// uninterrupted and resumed algorithm for method-specific state assertions
@@ -1149,12 +1149,12 @@ fn checkpoint_corruption_cannot_happen_mid_save_and_is_detected_on_load() {
     let dir = std::env::temp_dir().join("fedcross-resume-plane-corruption");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ckpt.json");
+    let path = dir.join("ckpt");
     checkpoint.save(&path).expect("initial save succeeds");
 
     // A "crash" during a later save (simulated by blocking the temp path)
     // must leave the previous checkpoint fully intact and loadable.
-    let tmp = dir.join("ckpt.json.tmp");
+    let tmp = dir.join("ckpt.tmp");
     std::fs::create_dir_all(&tmp).unwrap();
     assert!(checkpoint.save(&path).is_err(), "blocked temp write must error");
     let survivor = Checkpoint::load(&path).expect("previous checkpoint survives");
@@ -1163,8 +1163,8 @@ fn checkpoint_corruption_cannot_happen_mid_save_and_is_detected_on_load() {
 
     // A truncated file — what a non-atomic in-place write would leave after
     // a crash — is detected on load instead of half-restoring.
-    let json = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, &json[..json.len() / 2]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     let err = Checkpoint::load(&path).expect_err("truncated checkpoint must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let _ = std::fs::remove_dir_all(dir);

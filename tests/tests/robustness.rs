@@ -143,7 +143,7 @@ fn fedcross_checkpoint_resume_preserves_training_progress() {
     let mut algo = FedCross::new(fed_config, template.params_flat(), 4);
     let first = sim.run_segment(&mut algo, 0, 8);
     assert_eq!(first.rounds_completed, 8);
-    let path = std::env::temp_dir().join("fedcross-integration-checkpoint.json");
+    let path = std::env::temp_dir().join("fedcross-integration-checkpoint");
     sim.checkpoint(&algo, &first)
         .expect("snapshot supported")
         .save(&path)
